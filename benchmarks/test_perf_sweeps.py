@@ -16,14 +16,17 @@ with its exact drop census, the per-tick kinds left to the metrics
 snapshot) to per-digest JSONL segments. Sampled recording must stay
 cheap: the two passes run as interleaved pairs (wall-clock on shared
 runners drifts far more than the budget; adjacent timings share the
-drift phase), the best per-pair delta is asserted within 10% of the
-unrecorded minimum (with a 1 s absolute floor for timer noise on
-fast grids), and the deterministic segment/event counts land in the
-report so the regression sentinel pins them exactly.
+drift phase), the best per-pair delta (recorded minus unrecorded
+wall) is asserted to be at most ``max(10% of the unrecorded minimum,
+1.0 s)`` — the 1 s floor absorbs timer noise on fast grids and
+dominates on this one, so the ratio of the two minima may exceed
+1.1 (the committed baseline reads 1.213x) — and the deterministic
+segment/event counts land in the report so the regression sentinel
+pins them exactly.
 
 ``test_perf_sim_core`` emits ``BENCH_sim_core.json`` for the
-struct-of-arrays core and the checkpointed incremental executor: the
-same grid serial-cold (the SoA hot path; the pre-SoA seed's wall time
+simulation core and the checkpointed incremental executor: the same
+grid serial-cold (the ``soa_serial`` section; the pre-SoA seed's wall time
 is recorded alongside for the vs-seed comparison), through the
 process-pool optimized path (>= 2x floor), through the incremental
 executor cold (prefix restores, with the executor's saved/replayed
@@ -145,7 +148,8 @@ OBS_SERVE_RATE = 0.05
 
 
 def test_perf_obs_recording_overhead(benchmark):
-    """Sampled trace collection stays within 10% wall overhead."""
+    """Sampled trace collection's best paired overhead stays within
+    ``max(10% of the unrecorded wall, 1.0 s)``."""
     import tempfile
 
     from repro.obs import TraceCollector
@@ -247,7 +251,8 @@ def test_perf_obs_recording_overhead(benchmark):
     assert overhead_wall <= budget, (
         f"sampled recording costs {overhead_wall:.2f} s over the "
         f"{unrecorded_wall:.2f} s unrecorded grid in the best "
-        f"interleaved pair — beyond the 10% budget ({budget:.2f} s)"
+        f"interleaved pair — beyond the max(10%, 1.0 s) budget "
+        f"({budget:.2f} s)"
     )
 
 
@@ -275,7 +280,7 @@ def test_perf_sim_core(benchmark):
         assert len(points) == len(COMBOS) * len(FRACTIONS)
         return wall
 
-    # 1. The SoA core, serial and cold: every grid point simulated.
+    # 1. The core, serial and cold: every grid point simulated.
     serial_wall = timed_grid(EvaluationHarness(
         duration_s=hours(GRID_HOURS), seed=1
     ))

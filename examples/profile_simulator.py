@@ -7,8 +7,8 @@ per-event-kind kernel timers (``ClusterSimulator(kernel_timers=True)``)
 for the event-loop view: how many ticks/arrivals/phase advances ran and
 what each kind costs. The kernel counters also land in
 ``result.observability["sim_core"]``, so hot-path regressions show up
-in exported traces. This is the workflow that motivated the vectorized
-power batch and the heap-tuple event queue — run it before and after
+in exported traces. This is the workflow that motivated the heap-tuple
+event queue — run it before and after
 touching ``repro.cluster`` to see what a change buys.
 
 Run:  python examples/profile_simulator.py

@@ -1,19 +1,10 @@
-"""The struct-of-arrays simulation core behind :class:`ClusterSimulator`.
+"""The simulation core behind :class:`ClusterSimulator`.
 
 :class:`SimulationCore` owns every piece of mutable state of one run —
 what used to live in the locals and closures of ``ClusterSimulator.run``
-— which buys three capabilities without changing a single simulated
+— which buys two capabilities without changing a single simulated
 outcome (the golden-parity suite pins bit-identity to the pre-refactor
 simulator):
-
-* **Struct-of-arrays hot path.** Per-server numeric state (activity,
-  effective clock ratio, braked/failed flags, instantaneous power) is
-  mirrored in numpy arrays (:class:`ServerArrays`), so group-wide power
-  refreshes — cap and brake landings touch a whole priority pool at
-  once — read the arrays and evaluate the power kernel vectorized
-  instead of walking ``ServerSim`` objects. The running row-power sum
-  still updates in per-index order, keeping the exact energy integral's
-  float summation order unchanged.
 
 * **Checkpointing.** Because all mutable state hangs off one object,
   :meth:`SimulationCore.snapshot` can deep-copy a mid-flight run (with
@@ -28,6 +19,11 @@ simulator):
   broadcast) while serve-only shards (:meth:`run_shard`) pause at tick
   barriers — see :mod:`repro.cluster.sharded`.
 
+Per-server state has one home, the :class:`~repro.cluster.server_sim
+.ServerSim` objects; the core adds only the running per-server power
+list that the row power and the exact energy integral sum in index
+order. Each event kind has one handler method, and every event loop
+dispatches through the module-level :data:`EVENT_HANDLERS` table.
 Per-event-kind kernel timing (:class:`KernelTimers`) is opt-in and
 surfaces in ``result.observability["sim_core"]`` so hot-path regressions
 show up in traces.
@@ -62,10 +58,12 @@ from repro.workloads.spec import Priority
 
 
 class KernelTimers:
-    """Per-event-kind call/latency counters for the hot path.
+    """Per-event-kind call/latency counters for the event loop.
 
-    Opt-in: the default simulator runs the untimed loop, so disabled
-    runs pay nothing (not even a clock read per event).
+    Opt-in: with timers, :meth:`SimulationCore.run_all` runs the same
+    loop over :meth:`timed` dispatch, which times each event's energy
+    integration plus its handler. Disabled runs pay nothing (not even a
+    clock read per event).
     """
 
     __slots__ = ("counters",)
@@ -81,6 +79,19 @@ class KernelTimers:
             cell[0] += 1
             cell[1] += seconds
 
+    def timed(
+        self, process: Callable[[float, Tuple], None]
+    ) -> Callable[[float, Tuple], None]:
+        """``process(now, event)``, counted under the event's kind."""
+        add = self.add
+
+        def timed_process(now: float, event: Tuple) -> None:
+            t0 = perf_counter()
+            process(now, event)
+            add(event[0], perf_counter() - t0)
+
+        return timed_process
+
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """``{kind: {"calls": n, "seconds": s}}``, sorted by cost."""
         return {
@@ -89,26 +100,6 @@ class KernelTimers:
                 self.counters.items(), key=lambda kv: -kv[1][1]
             )
         }
-
-
-class ServerArrays:
-    """Struct-of-arrays mirror of per-server numeric state.
-
-    ``activity``/``failed`` are refreshed whenever a server's occupancy
-    changes (every such change is followed by a power refresh);
-    ``clock_ratio``/``braked``/``eff_ratio`` are updated at cap and
-    brake landings. Group refreshes read only these arrays — no
-    ``ServerSim`` attribute walks in the vectorized kernel.
-    """
-
-    __slots__ = ("activity", "clock_ratio", "braked", "failed", "eff_ratio")
-
-    def __init__(self, n_servers: int) -> None:
-        self.activity = np.zeros(n_servers, dtype=np.float64)
-        self.clock_ratio = np.ones(n_servers, dtype=np.float64)
-        self.braked = np.zeros(n_servers, dtype=bool)
-        self.failed = np.zeros(n_servers, dtype=bool)
-        self.eff_ratio = np.ones(n_servers, dtype=np.float64)
 
 
 class SimulationCore:
@@ -196,8 +187,6 @@ class SimulationCore:
         self._util_samples: List[float] = []
         self._ctr_served = None
         self._ctr_dropped = None
-        self._ctr_dropped_shed = None
-        self._ctr_deferred = None
         self._wl_hists: Dict[str, Any] = {}
         if recording:
             obs = MetricsRegistry()
@@ -228,17 +217,7 @@ class SimulationCore:
                     "requests.deferred",
                 ):
                     obs.counter(_name)
-            self.util_hist = obs.histogram("control.utilization")
-            self.latency_hists = {
-                p: obs.histogram(
-                    f"latency.priority.{p.value}", LATENCY_BUCKETS
-                )
-                for p in Priority
-            }
             self._cache_metric_handles()
-            # Requests are identified in the trace by arrival order;
-            # SampledRequest is frozen and id-stable for the run.
-            self.request_ids = {id(r): i for i, r in enumerate(requests)}
             recorder.emit({
                 "t": 0.0, "kind": "run_meta",
                 "duration_s": duration_s,
@@ -259,14 +238,12 @@ class SimulationCore:
 
         # Running row power; server powers are piecewise constant, which
         # also makes the energy integral exact: accumulate power x dt at
-        # every event boundary. ``server_power`` stays a Python float
-        # list (scalar per-index updates keep the original summation
-        # order); the SoA arrays mirror the rest.
+        # every event boundary. ``server_power`` is a Python float list
+        # updated per index, which fixes the float summation order.
         self.server_power = [s.current_power() for s in self.servers]
         self.row_power = sum(self.server_power)
         self.total_energy = 0.0
         self.last_event_time = 0.0
-        self.arrays = ServerArrays(len(self.servers))
 
         # The power-delivery protection layer. ``prot is None`` (the
         # default) models infinite breaker capacity: no accumulator is
@@ -375,7 +352,7 @@ class SimulationCore:
     # hooks, so :meth:`snapshot` inherits the fixups.
     # ------------------------------------------------------------------
     def _cache_metric_handles(self) -> None:
-        """Bind the per-request counters and histograms once.
+        """Bind the histograms and per-request counters of ``obs`` once.
 
         The request lifecycle touches these on every arrival and
         completion; resolving them through the registry (a dotted-name
@@ -384,12 +361,17 @@ class SimulationCore:
         sites go through these handles instead.
         """
         obs = self.obs
+        self.util_hist = obs.histogram("control.utilization")
+        self.latency_hists = {
+            p: obs.histogram(f"latency.priority.{p.value}", LATENCY_BUCKETS)
+            for p in Priority
+        }
         self._ctr_served = obs.counter("requests.served")
         self._ctr_dropped = obs.counter("requests.dropped")
         self._wl_hists = {}
-        if self.protection is not None:
-            self._ctr_dropped_shed = obs.counter("requests.dropped_shed")
-            self._ctr_deferred = obs.counter("requests.deferred")
+        # Requests are identified in the trace by arrival order;
+        # SampledRequest is frozen and id-stable for the run.
+        self.request_ids = {id(r): i for i, r in enumerate(self.requests)}
 
     def _workload_hist(self, name: str):
         """The (cached) latency histogram for one workload."""
@@ -428,8 +410,6 @@ class SimulationCore:
         state["_rec_serve"] = False
         state["_ctr_served"] = None
         state["_ctr_dropped"] = None
-        state["_ctr_dropped_shed"] = None
-        state["_ctr_deferred"] = None
         state["_wl_hists"] = {}
         state["obs"] = None
         state["util_hist"] = None
@@ -471,15 +451,7 @@ class SimulationCore:
         self.recording = recorder.enabled
         self._set_kind_gates()
         self.obs = registry
-        self.util_hist = registry.histogram("control.utilization")
-        self.latency_hists = {
-            p: registry.histogram(
-                f"latency.priority.{p.value}", LATENCY_BUCKETS
-            )
-            for p in Priority
-        }
         self._cache_metric_handles()
-        self.request_ids = {id(r): i for i, r in enumerate(self.requests)}
 
     def snapshot(self) -> "SimulationCore":
         """Deep-copy this mid-flight run into an independent core.
@@ -509,66 +481,15 @@ class SimulationCore:
         return copy.deepcopy(self, memo)
 
     # ------------------------------------------------------------------
-    # Power refresh kernels
+    # Power refresh
     # ------------------------------------------------------------------
     def _refresh_power(self, now: float, index: int) -> None:
-        server = self.servers[index]
-        arrays = self.arrays
-        if server.failed:
-            arrays.failed[index] = True
-            arrays.activity[index] = 0.0
-            new_power = 0.0
-        else:
-            arrays.failed[index] = False
-            activity = server.current_activity()
-            arrays.activity[index] = activity
-            new_power = self.power_model.server_power(
-                activity, server.effective_ratio
-            )
+        new_power = self.servers[index].current_power()
         self.row_power += new_power - self.server_power[index]
         self.server_power[index] = new_power
         if self.prot is not None:
             for push in self.prot.update_server_power(now, index, new_power):
                 self._push(*push)
-
-    def _refresh_group(self, now: float, indices: Sequence[int]) -> None:
-        """Refresh many servers at once (cap/brake landings).
-
-        The vectorized kernel reads only the SoA arrays — activity and
-        effective ratio were synced at the last occupancy change and
-        the landing that triggered this refresh — and evaluates the
-        power formula per effective-clock group with the exact
-        elementwise IEEE operations of the scalar path. The running
-        row-power updates keep the original per-index summation order
-        so the energy integral is unchanged.
-        """
-        arrays = self.arrays
-        eff = arrays.eff_ratio
-        failed = arrays.failed
-        new_power: Dict[int, float] = {}
-        by_ratio: Dict[float, List[int]] = {}
-        for index in indices:
-            if failed[index]:
-                new_power[index] = 0.0
-            else:
-                by_ratio.setdefault(float(eff[index]), []).append(index)
-        for ratio, members in by_ratio.items():
-            powers = self.power_model.server_power_batch(
-                arrays.activity[members], ratio
-            )
-            for i, power in zip(members, powers.tolist()):
-                new_power[i] = power
-        server_power = self.server_power
-        for index in indices:
-            power = new_power[index]
-            self.row_power += power - server_power[index]
-            server_power[index] = power
-        if self.prot is not None:
-            for index in indices:
-                for push in self.prot.update_server_power(
-                    now, index, new_power[index]
-                ):
-                    self._push(*push)
 
     def _push(self, time: float, payload: Any) -> None:
         self.queue.push(time, payload)
@@ -616,6 +537,23 @@ class SimulationCore:
         payload["request_id"] = self.request_ids[id(active.request)]
         self.recorder.emit(payload)
 
+    def _emit_req_arrival(
+        self,
+        now: float,
+        request: SampledRequest,
+        server_id: Optional[str],
+        queued: bool,
+    ) -> None:
+        self.recorder.emit({
+            "t": now, "kind": "req_arrival",
+            "request_id": self.request_ids[id(request)],
+            "priority": request.priority.value,
+            "workload": request.workload.name,
+            "input_tokens": request.input_tokens,
+            "output_tokens": request.output_tokens,
+            "server": server_id, "queued": queued,
+        })
+
     def _emit_rescales(
         self,
         now: float,
@@ -658,61 +596,70 @@ class SimulationCore:
             action = ControlAction.frequency_unlock(targets)
         else:
             action = ControlAction.frequency_lock(targets, clock_mhz)
-        record = self.actuator.issue(now, action)
-        self.report.commands_issued += 1
-        extra = self.injector.actuation_extra_delay()
-        if self.recording:
-            self.obs.counter("commands.issued").inc()
-            self.recorder.emit({
-                "t": now, "kind": "cap_issue",
+        self._issue(
+            now, action, ("cap", priority, clock_mhz, generation),
+            ("verify_cap", priority, clock_mhz, generation, attempts),
+            "cap", {
                 "priority": priority.value, "clock_mhz": clock_mhz,
                 "generation": generation, "attempts": attempts,
-                "silent": record.failed_silently,
-            })
-        if record.failed_silently:
-            self.report.silent_actuation_failures += 1
-        else:
-            self._push(
-                record.effective_at + extra,
-                ("cap", priority, clock_mhz, generation),
-            )
-        if self.verify_commands:
-            self.queue.push(
-                now + self.actuator.latency_for(action.kind)
-                + self.reliability.verify_margin_s,
-                ("verify_cap", priority, clock_mhz, generation, attempts),
-            )
+            },
+        )
 
     def _issue_brake(
         self, now: float, want_on: bool, version: int, attempts: int
     ) -> None:
         kind = ActionKind.POWER_BRAKE if want_on \
             else ActionKind.BRAKE_RELEASE
-        record = self.actuator.issue(
-            now, ControlAction(kind, self._all_ids)
+        self._issue(
+            now, ControlAction(kind, self._all_ids),
+            ("brake_on" if want_on else "brake_off", version),
+            ("verify_brake", want_on, version, attempts),
+            "brake",
+            {"want_on": want_on, "version": version, "attempts": attempts},
         )
+
+    def _issue(
+        self,
+        now: float,
+        action: ControlAction,
+        landing: Tuple,
+        verify: Tuple,
+        trace: str,
+        stamp: Dict[str, Any],
+    ) -> None:
+        """Issue one ``trace`` command (``"cap"`` or ``"brake"``).
+
+        Schedules its ``landing`` (unless the interface silently drops
+        it) and, when commands can fail, its ``verify`` deadline. A
+        command with ``attempts > 0`` re-issues one whose verify failed,
+        and is counted and traced as a re-issue first.
+        """
+        recording = self.recording
+        if stamp["attempts"] > 0:
+            self.report.reissues += 1
+            if recording:
+                self.obs.counter("commands.reissues").inc()
+                self.recorder.emit(
+                    {"t": now, "kind": f"{trace}_reissue", **stamp}
+                )
+        record = self.actuator.issue(now, action)
         self.report.commands_issued += 1
         extra = self.injector.actuation_extra_delay()
-        if self.recording:
+        if recording:
             self.obs.counter("commands.issued").inc()
             self.recorder.emit({
-                "t": now, "kind": "brake_issue",
-                "want_on": want_on, "version": version,
-                "attempts": attempts,
+                "t": now, "kind": f"{trace}_issue", **stamp,
                 "silent": record.failed_silently,
             })
         if record.failed_silently:
             self.report.silent_actuation_failures += 1
         else:
-            self._push(
-                record.effective_at + extra,
-                ("brake_on" if want_on else "brake_off", version),
-            )
+            self._push(record.effective_at + extra, landing)
         if self.verify_commands:
             self.queue.push(
-                now + self.actuator.latency_for(kind)
+                now + self.actuator.latency_for(action.kind)
                 + self.reliability.verify_margin_s,
-                ("verify_brake", want_on, version, attempts),
+                verify,
             )
 
     def _engage_brake(self, now: float, source: str = "policy") -> None:
@@ -728,24 +675,19 @@ class SimulationCore:
 
     def _command_caps(self, now: float, desired: GroupCaps) -> None:
         commanded = self.commanded
-        if desired.low_clock_mhz != commanded.low_clock_mhz:
-            self.cap_generation[Priority.LOW] += 1
-            self._issue_cap(
-                now, Priority.LOW, desired.low_clock_mhz,
-                self.cap_generation[Priority.LOW], 0,
-            )
-            self.capping_actions += 1
-            if self.recording:
-                self.obs.counter("commands.cap_actions").inc()
-        if desired.high_clock_mhz != commanded.high_clock_mhz:
-            self.cap_generation[Priority.HIGH] += 1
-            self._issue_cap(
-                now, Priority.HIGH, desired.high_clock_mhz,
-                self.cap_generation[Priority.HIGH], 0,
-            )
-            self.capping_actions += 1
-            if self.recording:
-                self.obs.counter("commands.cap_actions").inc()
+        for priority, want, have in (
+            (Priority.LOW, desired.low_clock_mhz, commanded.low_clock_mhz),
+            (Priority.HIGH, desired.high_clock_mhz,
+             commanded.high_clock_mhz),
+        ):
+            if want != have:
+                self.cap_generation[priority] += 1
+                self._issue_cap(
+                    now, priority, want, self.cap_generation[priority], 0
+                )
+                self.capping_actions += 1
+                if self.recording:
+                    self.obs.counter("commands.cap_actions").inc()
         self.commanded = desired
 
     # ------------------------------------------------------------------
@@ -890,7 +832,8 @@ class SimulationCore:
         the state an incremental resume at ``T`` needs.
         """
         queue = self.queue
-        timers = self.timers
+        process = self._process if self.timers is None \
+            else self.timers.timed(self._process)
         next_cp = checkpoint_epoch_s
         while queue:
             if next_cp is not None:
@@ -901,12 +844,7 @@ class SimulationCore:
                     if next_cp > self.duration_s:
                         next_cp = None
             now, event = queue.pop()
-            if timers is None:
-                self._process(now, event)
-            else:
-                t0 = perf_counter()
-                self._process(now, event)
-                timers.add(event[0], perf_counter() - t0)
+            process(now, event)
 
     def run_shard(self):
         """Serve-only event loop for one shard (a generator).
@@ -965,561 +903,475 @@ class SimulationCore:
         self.last_event_time = now
 
     def _process(self, now: float, event: Tuple) -> None:
+        """Integrate up to ``now``, then run the event's handler."""
         self._integrate(now)
-        kind = event[0]
-        recording = self.recording
-        metrics = self.metrics
+        EVENT_HANDLERS[event[0]](self, now, event)
 
-        if kind == "arrival":
-            request: SampledRequest = event[1]
-            if self.shard_serving:
-                if event[2] not in self.owned_arrivals:
-                    return
-                self._offered_priority[request.priority] += 1
-                name = request.workload.name
-                self._offered_workload[name] = \
-                    self._offered_workload.get(name, 0) + 1
-            if self.prot is not None and self.shed_active:
-                prior = self.defer_counts.get(id(request), 0)
-                action = self.emergency.shed_action(
-                    request.priority.value, request.workload.name, prior,
+    # ------------------------------------------------------------------
+    # Event handlers, one per kind (see EVENT_HANDLERS)
+    # ------------------------------------------------------------------
+    def _on_arrival(self, now: float, event: Tuple) -> None:
+        request: SampledRequest = event[1]
+        if self.shard_serving:
+            if event[2] not in self.owned_arrivals:
+                return
+            self._offered_priority[request.priority] += 1
+            name = request.workload.name
+            self._offered_workload[name] = \
+                self._offered_workload.get(name, 0) + 1
+        if self.prot is not None and self.shed_active:
+            prior = self.defer_counts.get(id(request), 0)
+            action = self.emergency.shed_action(
+                request.priority.value, request.workload.name, prior,
+            )
+            if action == "defer":
+                self.defer_counts[id(request)] = prior + 1
+                self.queue.push(
+                    now + self.emergency.defer_s, ("arrival", request)
                 )
-                if action == "defer":
-                    self.defer_counts[id(request)] = prior + 1
-                    self.queue.push(
-                        now + self.emergency.defer_s, ("arrival", request)
-                    )
-                    self.pf_report.requests_deferred += 1
-                    if recording:
-                        self._ctr_deferred.inc()
-                        self.recorder.emit({
-                            "t": now, "kind": "shed_defer",
-                            "request_id": self.request_ids[id(request)],
-                            "priority": request.priority.value,
-                            "workload": request.workload.name,
-                            "delay_s": self.emergency.defer_s,
-                            "deferrals": prior + 1,
-                        })
-                    return
-                if action == "drop":
-                    metrics[request.priority].dropped += 1
-                    self._workload_tier(request.workload.name).dropped += 1
-                    self.pf_report.requests_dropped_shed += 1
-                    if recording:
-                        self._ctr_dropped.inc()
-                        self._ctr_dropped_shed.inc()
-                        if self._rec_req_arrival:
-                            self.recorder.emit({
-                                "t": now, "kind": "req_arrival",
-                                "request_id":
-                                    self.request_ids[id(request)],
-                                "priority": request.priority.value,
-                                "workload": request.workload.name,
-                                "input_tokens": request.input_tokens,
-                                "output_tokens": request.output_tokens,
-                                "server": None, "queued": False,
-                            })
-                        self.recorder.emit({
-                            "t": now, "kind": "drop",
-                            "request_id": self.request_ids[id(request)],
-                            "priority": request.priority.value,
-                            "workload": request.workload.name,
-                            "reason": "shed",
-                        })
-                    return
-            server = self.balancer.route(request.priority)
-            if server is None:
-                metrics[request.priority].dropped += 1
-                self._workload_tier(request.workload.name).dropped += 1
-                if recording:
-                    self._ctr_dropped.inc()
-                    if self._rec_req_arrival:
-                        self.recorder.emit({
-                            "t": now, "kind": "req_arrival",
-                            "request_id": self.request_ids[id(request)],
-                            "priority": request.priority.value,
-                            "workload": request.workload.name,
-                            "input_tokens": request.input_tokens,
-                            "output_tokens": request.output_tokens,
-                            "server": None, "queued": False,
-                        })
+                self.pf_report.requests_deferred += 1
+                if self.recording:
+                    self.obs.counter("requests.deferred").inc()
                     self.recorder.emit({
-                        "t": now, "kind": "drop",
+                        "t": now, "kind": "shed_defer",
                         "request_id": self.request_ids[id(request)],
                         "priority": request.priority.value,
                         "workload": request.workload.name,
-                        "reason": "saturated",
+                        "delay_s": self.emergency.defer_s,
+                        "deferrals": prior + 1,
                     })
                 return
-            index = self.server_index[server.server_id]
-            if self._rec_req_arrival:
+            if action == "drop":
+                self.pf_report.requests_dropped_shed += 1
+                self._drop(now, request, "shed", "requests.dropped_shed")
+                return
+        server = self.balancer.route(request.priority)
+        if server is None:
+            self._drop(now, request, "saturated")
+            return
+        index = self.server_index[server.server_id]
+        if self._rec_req_arrival:
+            self._emit_req_arrival(
+                now, request, server.server_id, not server.has_free_slot
+            )
+        if server.has_free_slot:
+            self._start_on(now, index, request)
+        else:
+            server.buffered = request
+
+    def _on_phase(self, now: float, event: Tuple) -> None:
+        index, slot, version = event[1], event[2], event[3]
+        server = self.servers[index]
+        active = server.slots.get(slot)
+        if active is None or active.version != version:
+            return  # superseded by a clock change
+        finished = active.request
+        next_end = server.advance_phase(now, slot)
+        if next_end is not None:
+            self._refresh_power(now, index)
+            self._schedule_slot(index, slot)
+            if self._rec_phase_start:
+                self._emit_phase_start(now, index, slot)
+            return
+        # Request complete; the slot is free again.
+        tier = self.metrics[finished.priority]
+        tier.served += 1
+        tier.latencies.append(now - finished.arrival_time)
+        by_workload = self._workload_tier(finished.workload.name)
+        by_workload.served += 1
+        by_workload.latencies.append(now - finished.arrival_time)
+        if self.recording:
+            # Latency histograms batch-populate at finalize from the
+            # tier latency lists appended above.
+            self._ctr_served.inc()
+            if self._rec_serve:
                 self.recorder.emit({
-                    "t": now, "kind": "req_arrival",
-                    "request_id": self.request_ids[id(request)],
-                    "priority": request.priority.value,
-                    "workload": request.workload.name,
-                    "input_tokens": request.input_tokens,
-                    "output_tokens": request.output_tokens,
+                    "t": now, "kind": "serve",
+                    "request_id": self.request_ids[id(finished)],
+                    "priority": finished.priority.value,
+                    "workload": finished.workload.name,
+                    "latency_s": now - finished.arrival_time,
                     "server": server.server_id,
-                    "queued": not server.has_free_slot,
                 })
-            if server.has_free_slot:
-                self._start_on(now, index, request)
+        queued = server.take_buffered()
+        if queued is not None:
+            self._start_on(now, index, queued)
+        else:
+            self._refresh_power(now, index)
+
+    def _on_tick(self, now: float, event: Tuple) -> None:
+        recording = self.recording
+        self.power_samples[self.sample_cursor] = self.row_power
+        self.sample_cursor += 1
+        sample = self.interface.read(now, lambda _t: self.row_power)
+        fate = self.injector.telemetry_fate(now)
+        if recording and fate is not TelemetryFate.OK:
+            self.obs.counter("telemetry.faults").inc()
+            self.recorder.emit({
+                "t": now, "kind": "telemetry_fault",
+                "fate": fate.value,
+            })
+        if fate is TelemetryFate.DROPPED:
+            self.stale_ticks += 1
+        elif fate is TelemetryFate.FROZEN and self.last_observed is None:
+            self.stale_ticks += 1  # nothing to repeat yet: a dropout
+        else:
+            if fate is TelemetryFate.FROZEN:
+                value = self.last_observed
             else:
-                server.buffered = request
-
-        elif kind == "phase":
-            index, slot, version = event[1], event[2], event[3]
-            server = self.servers[index]
-            active = server.slots.get(slot)
-            if active is None or active.version != version:
-                return  # superseded by a clock change
-            finished = active.request
-            next_end = server.advance_phase(now, slot)
-            if next_end is not None:
-                self._refresh_power(now, index)
-                self._schedule_slot(index, slot)
-                if self._rec_phase_start:
-                    self._emit_phase_start(now, index, slot)
-                return
-            # Request complete; the slot is free again.
-            tier = metrics[finished.priority]
-            tier.served += 1
-            tier.latencies.append(now - finished.arrival_time)
-            by_workload = self._workload_tier(finished.workload.name)
-            by_workload.served += 1
-            by_workload.latencies.append(now - finished.arrival_time)
-            if recording:
-                # Latency histograms batch-populate at finalize from
-                # the tier latency lists appended above.
-                self._ctr_served.inc()
-                if self._rec_serve:
-                    self.recorder.emit({
-                        "t": now, "kind": "serve",
-                        "request_id": self.request_ids[id(finished)],
-                        "priority": finished.priority.value,
-                        "workload": finished.workload.name,
-                        "latency_s": now - finished.arrival_time,
-                        "server": server.server_id,
-                    })
-            queued = server.take_buffered()
-            if queued is not None:
-                self._start_on(now, index, queued)
+                value = self.injector.perturb_sample(sample.value)
+            if sample.time <= now:
+                self._deliver_observation(now, value)
             else:
-                self._refresh_power(now, index)
-
-        elif kind == "tick":
-            self.power_samples[self.sample_cursor] = self.row_power
-            self.sample_cursor += 1
-            sample = self.interface.read(now, lambda _t: self.row_power)
-            fate = self.injector.telemetry_fate(now)
-            if recording and fate is not TelemetryFate.OK:
-                self.obs.counter("telemetry.faults").inc()
-                self.recorder.emit({
-                    "t": now, "kind": "telemetry_fault",
-                    "fate": fate.value,
-                })
-            if fate is TelemetryFate.DROPPED:
-                self.stale_ticks += 1
-            elif fate is TelemetryFate.FROZEN and self.last_observed is None:
-                self.stale_ticks += 1  # nothing to repeat yet: a dropout
-            else:
-                if fate is TelemetryFate.FROZEN:
-                    value = self.last_observed
-                else:
-                    value = self.injector.perturb_sample(sample.value)
-                if sample.time <= now:
-                    self._deliver_observation(now, value)
-                else:
-                    self.queue.push(sample.time, ("obs", value))
-            # --- Graceful degradation on persistent staleness.
-            if self.stale_ticks > self.report.max_missed_ticks:
-                self.report.max_missed_ticks = self.stale_ticks
-            if self.stale_ticks >= self.reliability.fallback_after_ticks:
-                if not self.in_fallback:
-                    self.in_fallback = True
-                    self.fallback_entered_at = now
-                    self.report.fallback_entries += 1
-                    if recording:
-                        self.obs.counter("fallback.entries").inc()
-                        self.recorder.emit({
-                            "t": now, "kind": "fallback_enter",
-                            "stale_ticks": self.stale_ticks,
-                        })
-                    self._command_caps(now, GroupCaps(
-                        low_clock_mhz=self.reliability.safe_low_clock_mhz,
-                        high_clock_mhz=self.reliability.safe_high_clock_mhz,
-                    ))
-                elif (
-                    self.brake_state == "off"
-                    and now - self.fallback_entered_at
-                    >= self.reliability.brake_after_stale_s
-                ):
-                    self.brake_events += 1
-                    self.report.fallback_brakes += 1
-                    self._engage_brake(now, source="fallback")
-
-        elif kind == "obs":
-            self._deliver_observation(now, event[1])
-
-        elif kind == "cap":
-            priority, clock_mhz = event[1], event[2]
-            ratio = 1.0
-            if clock_mhz is not None:
-                ratio = clock_mhz / self.clock_denominator
-            indices = self._index_by_priority[priority]
-            old_ratios: Optional[List[float]] = None
-            if recording:
-                self.recorder.emit({
-                    "t": now, "kind": "cap_land",
-                    "priority": priority.value, "clock_mhz": clock_mhz,
-                    "generation": event[3], "ratio": ratio,
-                })
-                old_ratios = [
-                    self.servers[i].effective_ratio for i in indices
-                ]
-            group_rescheduled = [
-                self.servers[index].apply_clock(now, ratio)
-                for index in indices
-            ]
-            arrays = self.arrays
-            arrays.clock_ratio[indices] = ratio
-            arrays.eff_ratio[indices] = np.where(
-                arrays.braked[indices], self.power_model.brake_ratio, ratio
-            )
-            self._refresh_group(now, indices)
-            for pos, (index, rescheduled) in enumerate(
-                zip(indices, group_rescheduled)
-            ):
-                for slot in rescheduled:
-                    self._schedule_slot(index, slot)
-                if recording and rescheduled:
-                    self._emit_rescales(
-                        now, index, rescheduled, old_ratios[pos],
-                        cause="cap", stamp={
-                            "priority": priority.value,
-                            "generation": event[3],
-                        },
-                    )
-
-        elif kind == "verify_cap":
-            priority, clock_mhz, generation, attempts = event[1:]
-            if generation != self.cap_generation[priority]:
-                return  # superseded by a newer command
-            if self._group_cap_applied(priority, clock_mhz):
-                self.report.commands_verified += 1
-                if attempts > 0:
-                    self.report.commands_recovered += 1
+                self.queue.push(sample.time, ("obs", value))
+        # --- Graceful degradation on persistent staleness.
+        if self.stale_ticks > self.report.max_missed_ticks:
+            self.report.max_missed_ticks = self.stale_ticks
+        if self.stale_ticks >= self.reliability.fallback_after_ticks:
+            if not self.in_fallback:
+                self.in_fallback = True
+                self.fallback_entered_at = now
+                self.report.fallback_entries += 1
                 if recording:
+                    self.obs.counter("fallback.entries").inc()
                     self.recorder.emit({
-                        "t": now, "kind": "cap_verify",
-                        "priority": priority.value,
-                        "generation": generation,
-                        "attempts": attempts,
-                        "ok": True, "abandoned": False,
+                        "t": now, "kind": "fallback_enter",
+                        "stale_ticks": self.stale_ticks,
                     })
-                return
-            self.report.failures_detected += 1
-            abandoned = attempts >= self.reliability.max_retries
-            if recording:
-                self.recorder.emit({
-                    "t": now, "kind": "cap_verify",
-                    "priority": priority.value,
-                    "generation": generation, "attempts": attempts,
-                    "ok": False, "abandoned": abandoned,
-                })
-            if abandoned:
-                self.report.commands_unrecovered += 1
-                return
-            self.queue.push(
-                now + self.reliability.backoff_s(attempts + 1),
-                ("reissue_cap", priority, clock_mhz, generation,
-                 attempts + 1),
-            )
+                self._command_caps(now, GroupCaps(
+                    low_clock_mhz=self.reliability.safe_low_clock_mhz,
+                    high_clock_mhz=self.reliability.safe_high_clock_mhz,
+                ))
+            elif (
+                self.brake_state == "off"
+                and now - self.fallback_entered_at
+                >= self.reliability.brake_after_stale_s
+            ):
+                self.brake_events += 1
+                self.report.fallback_brakes += 1
+                self._engage_brake(now, source="fallback")
 
-        elif kind == "reissue_cap":
-            priority, clock_mhz, generation, attempts = event[1:]
-            if generation != self.cap_generation[priority]:
-                return
-            self.report.reissues += 1
-            if recording:
-                self.obs.counter("commands.reissues").inc()
-                self.recorder.emit({
-                    "t": now, "kind": "cap_reissue",
-                    "priority": priority.value, "clock_mhz": clock_mhz,
-                    "generation": generation, "attempts": attempts,
-                })
+    def _on_obs(self, now: float, event: Tuple) -> None:
+        self._deliver_observation(now, event[1])
+
+    def _on_cap(self, now: float, event: Tuple) -> None:
+        priority, clock_mhz, generation = event[1], event[2], event[3]
+        ratio = 1.0
+        if clock_mhz is not None:
+            ratio = clock_mhz / self.clock_denominator
+        if self.recording:
+            self.recorder.emit({
+                "t": now, "kind": "cap_land",
+                "priority": priority.value, "clock_mhz": clock_mhz,
+                "generation": generation, "ratio": ratio,
+            })
+        self._land(
+            now, self._index_by_priority[priority],
+            lambda server: server.apply_clock(now, ratio),
+            "cap", {"priority": priority.value, "generation": generation},
+        )
+
+    def _on_verify_cap(self, now: float, event: Tuple) -> None:
+        priority, clock_mhz, generation = event[1], event[2], event[3]
+        if generation != self.cap_generation[priority]:
+            return  # superseded by a newer command
+        self._settle_verify(
+            now, event, "cap", self._group_cap_applied(priority, clock_mhz),
+            {"priority": priority.value, "generation": generation},
+        )
+
+    def _on_reissue_cap(self, now: float, event: Tuple) -> None:
+        priority, clock_mhz, generation, attempts = event[1:]
+        if generation == self.cap_generation[priority]:
             self._issue_cap(now, priority, clock_mhz, generation, attempts)
 
-        elif kind == "brake_on":
-            if self.shard_serving:
-                if event[1] in self.cancelled_brake_versions:
-                    return
-            elif self.brake_state != "pending_on" \
-                    or event[1] != self.brake_version:
+    def _on_brake_landing(self, now: float, event: Tuple) -> None:
+        """``brake_on`` and ``brake_off``: land unless superseded."""
+        engaged = event[0] == "brake_on"
+        version = event[1]
+        if self.shard_serving:
+            if version in self.cancelled_brake_versions:
                 return
-            else:
-                self.brake_state = "on"
-                self.brake_engaged_at = now
-            self._apply_brake_landing(now, True, event[1])
-
-        elif kind == "brake_off":
-            if self.shard_serving:
-                if event[1] in self.cancelled_brake_versions:
-                    return
-            elif self.brake_state != "pending_off" \
-                    or event[1] != self.brake_version:
-                return
-            else:
-                self.brake_state = "off"
-            self._apply_brake_landing(now, False, event[1])
-
-        elif kind == "verify_brake":
-            want_on, version, attempts = event[1], event[2], event[3]
-            if version != self.brake_version:
-                return  # superseded (including cancelled releases)
-            if all(s.braked == want_on for s in self.servers):
-                self.report.commands_verified += 1
-                if attempts > 0:
-                    self.report.commands_recovered += 1
-                if recording:
-                    self.recorder.emit({
-                        "t": now, "kind": "brake_verify",
-                        "want_on": want_on, "version": version,
-                        "attempts": attempts,
-                        "ok": True, "abandoned": False,
-                    })
-                return
-            self.report.failures_detected += 1
-            abandoned = attempts >= self.reliability.max_retries
-            if recording:
-                self.recorder.emit({
-                    "t": now, "kind": "brake_verify",
-                    "want_on": want_on, "version": version,
-                    "attempts": attempts,
-                    "ok": False, "abandoned": abandoned,
-                })
-            if abandoned:
-                self.report.commands_unrecovered += 1
-                return
-            self.queue.push(
-                now + self.reliability.backoff_s(attempts + 1),
-                ("reissue_brake", want_on, version, attempts + 1),
-            )
-
-        elif kind == "reissue_brake":
-            want_on, version, attempts = event[1], event[2], event[3]
-            if version != self.brake_version:
-                return
-            self.report.reissues += 1
-            if recording:
-                self.obs.counter("commands.reissues").inc()
-                self.recorder.emit({
-                    "t": now, "kind": "brake_reissue",
-                    "want_on": want_on, "version": version,
-                    "attempts": attempts,
-                })
-            self._issue_brake(now, want_on, version, attempts)
-
-        elif kind == "server_fail":
-            index = event[1]
-            server = self.servers[index]
-            if server.failed:
-                return
-            dropped_requests = server.fail(now)
-            for request in dropped_requests:
-                metrics[request.priority].dropped += 1
-                self._workload_tier(request.workload.name).dropped += 1
-                self.report.requests_lost_to_churn += 1
-                if recording:
-                    self._ctr_dropped.inc()
-                    self.obs.counter("requests.lost_to_churn").inc()
-                    self.recorder.emit({
-                        "t": now, "kind": "drop",
-                        "request_id": self.request_ids[id(request)],
-                        "priority": request.priority.value,
-                        "workload": request.workload.name,
-                        "reason": "churn",
-                        "server": server.server_id,
-                    })
-            self.report.server_failures += 1
-            if recording:
-                self.obs.counter("churn.failures").inc()
-                self.recorder.emit({
-                    "t": now, "kind": "server_fail",
-                    "server": server.server_id, "index": index,
-                    "dropped": len(dropped_requests),
-                })
-            self._refresh_power(now, index)
-
-        elif kind == "server_recover":
-            index = event[1]
-            server = self.servers[index]
-            if not server.failed:
-                return
-            if self.prot is not None and self.prot.is_deenergized(index):
-                # The churn recovery raced a breaker trip: the server
-                # has no feed until its protection device re-energizes,
-                # which subsumes this recovery.
-                return
-            server.recover(now)
-            self.report.server_recoveries += 1
-            if recording:
-                self.obs.counter("churn.recoveries").inc()
-                self.recorder.emit({
-                    "t": now, "kind": "server_recover",
-                    "server": server.server_id, "index": index,
-                })
-            self._refresh_power(now, index)
-
-        elif kind == "prot":
-            if now > self.duration_s:
-                # Breaker exposure is modeled over the reported window
-                # only. Dropping late projections also guarantees
-                # termination: a breaker overloaded even at idle would
-                # otherwise trip/restore forever and the post-horizon
-                # drain would never empty the queue.
-                return
-            device_id, target, epoch = event[1], event[2], event[3]
-            outcome = self.prot.on_projection(now, device_id, target, epoch)
-            if outcome is None:
-                return  # superseded by a later rate change
-            fired, info, pushes = outcome
-            for push in pushes:
-                self.queue.push(*push)
-            if fired in ("risk", "clear"):
-                if recording:
-                    self.recorder.emit({
-                        "t": now, "kind": "trip_risk",
-                        "device": device_id,
-                        "device_level": info["device_level"],
-                        "accumulator": info["accumulator"],
-                        "overload": info["overload"],
-                        "at_risk": 1.0 if fired == "risk" else 0.0,
-                    })
-                self._update_shed(now)
-                return
-            # The breaker opens: fail the subtree mid-flight. The load
-            # balancer redistributes subsequent arrivals onto
-            # survivors, which can push a sibling domain over its own
-            # limit — the cascade needs no special code.
-            covered = self.prot.begin_trip(device_id, now)
-            dropped_count = 0
-            for index in covered:
-                server = self.servers[index]
-                if server.failed:
-                    self._refresh_power(now, index)
-                    continue
-                for request in server.fail(now):
-                    metrics[request.priority].dropped += 1
-                    self._workload_tier(request.workload.name).dropped += 1
-                    self.pf_report.requests_lost_to_trips += 1
-                    dropped_count += 1
-                    if recording:
-                        self._ctr_dropped.inc()
-                        self.obs.counter("requests.lost_to_trips").inc()
-                        self.recorder.emit({
-                            "t": now, "kind": "drop",
-                            "request_id": self.request_ids[id(request)],
-                            "priority": request.priority.value,
-                            "workload": request.workload.name,
-                            "reason": "trip",
-                            "server": server.server_id,
-                            "device": device_id,
-                        })
-                self._refresh_power(now, index)
-            record, restore_push = self.prot.commit_trip(
-                device_id, now, dropped_count
-            )
-            self.queue.push(*restore_push)
-            if recording:
-                self.obs.counter("prot.trips").inc()
-                offline_w, offline_frac = self.prot.offline_stats(
-                    self.peak_server_w
-                )
-                payload = dict(record)
-                payload["kind"] = "trip"
-                payload["offline_capacity_w"] = offline_w
-                payload["offline_fraction"] = offline_frac
-                self.recorder.emit(payload)
-                self._emit_capacity_status(now)
-            self._update_shed(now)
-
-        elif kind == "prot_restore":
-            if now > self.duration_s:
-                # Servers still dark at the horizon stay dark; the
-                # report clamps their offline time to the window.
-                return
-            device_id, step, version = event[1], event[2], event[3]
-            outcome = self.prot.restore_step(device_id, step, version, now)
-            if outcome is None:
-                return  # superseded by a newer trip
-            batch, next_push, done = outcome
-            recovered = []
-            for index in batch:
-                server = self.servers[index]
-                if server.failed:
-                    server.recover(now)
-                    self._refresh_power(now, index)
-                    recovered.append(server.server_id)
-            if recording:
-                self.recorder.emit({
-                    "t": now, "kind": "reenergize",
-                    "device": device_id, "step": step,
-                    "servers": recovered,
-                })
-            if next_push is not None:
-                self.queue.push(*next_push)
-            if done:
-                self.pf_report.reenergizations += 1
-                if recording:
-                    self.obs.counter("prot.reenergizations").inc()
-                    self.recorder.emit({
-                        "t": now, "kind": "reenergize_done",
-                        "device": device_id,
-                    })
-                    self._emit_capacity_status(now)
-                self._update_shed(now)
-
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event kind {kind!r}")
-
-    def _apply_brake_landing(
-        self, now: float, engaged: bool, version: int
-    ) -> None:
-        recording = self.recording
-        all_indices = range(len(self.servers))
-        old_ratios = None
-        if recording:
+        elif self.brake_state != ("pending_on" if engaged
+                                  else "pending_off") \
+                or version != self.brake_version:
+            return
+        elif engaged:
+            self.brake_state = "on"
+            self.brake_engaged_at = now
+        else:
+            self.brake_state = "off"
+        if self.recording:
             self.recorder.emit({
                 "t": now, "kind": "brake_land",
                 "on": engaged, "version": version,
             })
-            old_ratios = [
-                self.servers[i].effective_ratio for i in all_indices
-            ]
-        group_rescheduled = [
-            self.servers[index].apply_brake(now, engaged)
-            for index in all_indices
-        ]
-        arrays = self.arrays
-        if engaged:
-            arrays.braked[:] = True
-            arrays.eff_ratio[:] = self.power_model.brake_ratio
-        else:
-            arrays.braked[:] = False
-            arrays.eff_ratio[:] = arrays.clock_ratio
-        self._refresh_group(now, all_indices)
-        for index, rescheduled in zip(all_indices, group_rescheduled):
+        self._land(
+            now, range(len(self.servers)),
+            lambda server: server.apply_brake(now, engaged),
+            "brake", {"version": version, "on": engaged},
+        )
+
+    def _on_verify_brake(self, now: float, event: Tuple) -> None:
+        want_on, version = event[1], event[2]
+        if version != self.brake_version:
+            return  # superseded (including cancelled releases)
+        self._settle_verify(
+            now, event, "brake",
+            all(s.braked == want_on for s in self.servers),
+            {"want_on": want_on, "version": version},
+        )
+
+    def _on_reissue_brake(self, now: float, event: Tuple) -> None:
+        want_on, version, attempts = event[1:]
+        if version == self.brake_version:
+            self._issue_brake(now, want_on, version, attempts)
+
+    def _on_server_fail(self, now: float, event: Tuple) -> None:
+        index = event[1]
+        server = self.servers[index]
+        if server.failed:
+            return
+        dropped_requests = server.fail(now)
+        for request in dropped_requests:
+            self.report.requests_lost_to_churn += 1
+            self._drop(
+                now, request, "churn", "requests.lost_to_churn",
+                server=server.server_id,
+            )
+        self.report.server_failures += 1
+        if self.recording:
+            self.obs.counter("churn.failures").inc()
+            self.recorder.emit({
+                "t": now, "kind": "server_fail",
+                "server": server.server_id, "index": index,
+                "dropped": len(dropped_requests),
+            })
+        self._refresh_power(now, index)
+
+    def _on_server_recover(self, now: float, event: Tuple) -> None:
+        index = event[1]
+        server = self.servers[index]
+        if not server.failed:
+            return
+        if self.prot is not None and self.prot.is_deenergized(index):
+            # The churn recovery raced a breaker trip: the server has no
+            # feed until its protection device re-energizes, which
+            # subsumes this recovery.
+            return
+        server.recover(now)
+        self.report.server_recoveries += 1
+        if self.recording:
+            self.obs.counter("churn.recoveries").inc()
+            self.recorder.emit({
+                "t": now, "kind": "server_recover",
+                "server": server.server_id, "index": index,
+            })
+        self._refresh_power(now, index)
+
+    def _on_prot(self, now: float, event: Tuple) -> None:
+        if now > self.duration_s:
+            # Breaker exposure is modeled over the reported window only.
+            # Dropping late projections also guarantees termination: a
+            # breaker overloaded even at idle would otherwise
+            # trip/restore forever and the post-horizon drain would
+            # never empty the queue.
+            return
+        recording = self.recording
+        device_id, target, epoch = event[1], event[2], event[3]
+        outcome = self.prot.on_projection(now, device_id, target, epoch)
+        if outcome is None:
+            return  # superseded by a later rate change
+        fired, info, pushes = outcome
+        for push in pushes:
+            self.queue.push(*push)
+        if fired in ("risk", "clear"):
+            if recording:
+                self.recorder.emit({
+                    "t": now, "kind": "trip_risk",
+                    "device": device_id,
+                    "device_level": info["device_level"],
+                    "accumulator": info["accumulator"],
+                    "overload": info["overload"],
+                    "at_risk": 1.0 if fired == "risk" else 0.0,
+                })
+            self._update_shed(now)
+            return
+        # The breaker opens: fail the subtree mid-flight. The load
+        # balancer redistributes subsequent arrivals onto survivors,
+        # which can push a sibling domain over its own limit — the
+        # cascade needs no special code.
+        covered = self.prot.begin_trip(device_id, now)
+        dropped_count = 0
+        for index in covered:
+            server = self.servers[index]
+            if server.failed:
+                self._refresh_power(now, index)
+                continue
+            for request in server.fail(now):
+                self.pf_report.requests_lost_to_trips += 1
+                dropped_count += 1
+                self._drop(
+                    now, request, "trip", "requests.lost_to_trips",
+                    server=server.server_id, device=device_id,
+                )
+            self._refresh_power(now, index)
+        record, restore_push = self.prot.commit_trip(
+            device_id, now, dropped_count
+        )
+        self.queue.push(*restore_push)
+        if recording:
+            self.obs.counter("prot.trips").inc()
+            offline_w, offline_frac = self.prot.offline_stats(
+                self.peak_server_w
+            )
+            payload = dict(record)
+            payload["kind"] = "trip"
+            payload["offline_capacity_w"] = offline_w
+            payload["offline_fraction"] = offline_frac
+            self.recorder.emit(payload)
+            self._emit_capacity_status(now)
+        self._update_shed(now)
+
+    def _on_prot_restore(self, now: float, event: Tuple) -> None:
+        if now > self.duration_s:
+            # Servers still dark at the horizon stay dark; the report
+            # clamps their offline time to the window.
+            return
+        device_id, step, version = event[1], event[2], event[3]
+        outcome = self.prot.restore_step(device_id, step, version, now)
+        if outcome is None:
+            return  # superseded by a newer trip
+        batch, next_push, done = outcome
+        recovered = []
+        for index in batch:
+            server = self.servers[index]
+            if server.failed:
+                server.recover(now)
+                self._refresh_power(now, index)
+                recovered.append(server.server_id)
+        if self.recording:
+            self.recorder.emit({
+                "t": now, "kind": "reenergize",
+                "device": device_id, "step": step,
+                "servers": recovered,
+            })
+        if next_push is not None:
+            self.queue.push(*next_push)
+        if done:
+            self.pf_report.reenergizations += 1
+            if self.recording:
+                self.obs.counter("prot.reenergizations").inc()
+                self.recorder.emit({
+                    "t": now, "kind": "reenergize_done",
+                    "device": device_id,
+                })
+                self._emit_capacity_status(now)
+            self._update_shed(now)
+
+    # ------------------------------------------------------------------
+    # Handler helpers shared between kinds
+    # ------------------------------------------------------------------
+    def _land(
+        self,
+        now: float,
+        indices: Sequence[int],
+        apply: Callable[[Any], Dict[int, float]],
+        cause: str,
+        stamp: Dict[str, Any],
+    ) -> None:
+        """Land a cap or brake on ``indices``, in index order.
+
+        ``apply(server)`` changes one server's clock state and returns
+        its rescheduled slots. Each server's power is refreshed right
+        after, so the running row power sums in index order.
+        """
+        landed = []
+        for index in indices:
+            server = self.servers[index]
+            old_ratio = server.effective_ratio
+            landed.append((index, old_ratio, apply(server)))
+            self._refresh_power(now, index)
+        for index, old_ratio, rescheduled in landed:
             for slot in rescheduled:
                 self._schedule_slot(index, slot)
-            if recording and rescheduled:
+            if self.recording and rescheduled:
                 self._emit_rescales(
-                    now, index, rescheduled, old_ratios[index],
-                    cause="brake", stamp={
-                        "version": version, "on": engaged,
-                    },
+                    now, index, rescheduled, old_ratio, cause, stamp
                 )
+
+    def _settle_verify(
+        self,
+        now: float,
+        event: Tuple,
+        trace: str,
+        applied: bool,
+        stamp: Dict[str, Any],
+    ) -> None:
+        """Settle the verify deadline of a ``trace`` command.
+
+        A landed command counts as verified; a missing one is re-issued
+        with backoff (the ``reissue_<trace>`` event carries the verify
+        event's fields with ``attempts + 1``) until the retry budget
+        runs out.
+        """
+        attempts = event[-1]
+        report = self.report
+        if applied:
+            report.commands_verified += 1
+            if attempts > 0:
+                report.commands_recovered += 1
+            abandoned = False
+        else:
+            report.failures_detected += 1
+            abandoned = attempts >= self.reliability.max_retries
+        if self.recording:
+            self.recorder.emit({
+                "t": now, "kind": f"{trace}_verify", **stamp,
+                "attempts": attempts, "ok": applied, "abandoned": abandoned,
+            })
+        if applied:
+            return
+        if abandoned:
+            report.commands_unrecovered += 1
+            return
+        self.queue.push(
+            now + self.reliability.backoff_s(attempts + 1),
+            (f"reissue_{trace}",) + event[1:-1] + (attempts + 1,),
+        )
+
+    def _drop(
+        self,
+        now: float,
+        request: SampledRequest,
+        reason: str,
+        counter: Optional[str] = None,
+        **where: Any,
+    ) -> None:
+        """Account one dropped request, and trace it when recording.
+
+        ``counter`` names the cause's own metric next to
+        ``requests.dropped``. Shed and saturated drops happen at
+        arrival, so their trace carries the unrouted ``req_arrival``
+        first; churn and trip drops strike requests in flight and name
+        the ``server`` (and ``device``) in ``where``.
+        """
+        self.metrics[request.priority].dropped += 1
+        self._workload_tier(request.workload.name).dropped += 1
+        if not self.recording:
+            return
+        self._ctr_dropped.inc()
+        if counter is not None:
+            self.obs.counter(counter).inc()
+        if reason in ("shed", "saturated") and self._rec_req_arrival:
+            self._emit_req_arrival(now, request, None, False)
+        self.recorder.emit({
+            "t": now, "kind": "drop",
+            "request_id": self.request_ids[id(request)],
+            "priority": request.priority.value,
+            "workload": request.workload.name,
+            "reason": reason, **where,
+        })
 
     # ------------------------------------------------------------------
     # Finalization
@@ -1637,3 +1489,28 @@ class SimulationCore:
             observability=observability,
             powerfail=powerfail,
         )
+
+
+#: The one dispatch table: event kind -> handler. Every event loop
+#: (:meth:`SimulationCore.run_all`, :meth:`SimulationCore.run_shard` and
+#: the sharded parent) dispatches through
+#: :meth:`SimulationCore._process`, which looks handlers up here. It
+#: lives at module level so checkpoint pickles and :meth:`snapshot`
+#: copies never carry it.
+EVENT_HANDLERS: Dict[str, Callable[[SimulationCore, float, Tuple], None]] = {
+    "arrival": SimulationCore._on_arrival,
+    "phase": SimulationCore._on_phase,
+    "tick": SimulationCore._on_tick,
+    "obs": SimulationCore._on_obs,
+    "cap": SimulationCore._on_cap,
+    "verify_cap": SimulationCore._on_verify_cap,
+    "reissue_cap": SimulationCore._on_reissue_cap,
+    "brake_on": SimulationCore._on_brake_landing,
+    "brake_off": SimulationCore._on_brake_landing,
+    "verify_brake": SimulationCore._on_verify_brake,
+    "reissue_brake": SimulationCore._on_reissue_brake,
+    "server_fail": SimulationCore._on_server_fail,
+    "server_recover": SimulationCore._on_server_recover,
+    "prot": SimulationCore._on_prot,
+    "prot_restore": SimulationCore._on_prot_restore,
+}

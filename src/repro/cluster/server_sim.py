@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.specs import A100_80GB, GpuSpec
 from repro.models.inference import InferenceRequest, PhaseSegment, request_timeline
@@ -113,30 +111,6 @@ class ServerPowerModel:
         gpu_total = self.n_gpus * (self.gpu.idle_w + per_gpu_dynamic)
         load = min(1.0, per_gpu_dynamic / dynamic_range)
         return gpu_total + self.host.power(load)
-
-    def server_power_batch(
-        self, activities: Sequence[float], clock_ratio: float
-    ) -> np.ndarray:
-        """Vectorized :meth:`server_power` for many servers at one clock.
-
-        Used by the simulator's group-wide refreshes (cap and brake
-        landings touch a whole priority pool at once). Performs the exact
-        same elementwise IEEE operations as the scalar path, so results
-        are bit-identical per server.
-        """
-        acts = np.asarray(activities, dtype=np.float64)
-        dynamic_range = self.gpu.transient_peak_w - self.gpu.idle_w
-        powed = clock_ratio ** self.gpu.dvfs_alpha
-        per_gpu_dynamic = ((acts * dynamic_range) * powed) * self.power_scale
-        gpu_total = self.n_gpus * (self.gpu.idle_w + per_gpu_dynamic)
-        load = np.minimum(1.0, per_gpu_dynamic / dynamic_range)
-        host = self.host
-        host_power = (
-            (host.cpu_idle_w + (host.cpu_busy_w - host.cpu_idle_w) * load)
-            + (host.fan_idle_w + (host.fan_max_w - host.fan_idle_w) * load)
-            + host.other_w
-        )
-        return gpu_total + host_power
 
     @property
     def brake_ratio(self) -> float:

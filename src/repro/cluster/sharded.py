@@ -50,7 +50,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import tempfile
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.cluster.metrics import PriorityMetrics, SimulationResult
 from repro.cluster.policy_base import PowerPolicy
@@ -120,17 +120,11 @@ def _build_shard_core(
     owned = set(_owned_indices(config.n_servers, shard, n_shards))
     for index, server in enumerate(simulator.servers):
         if index not in owned:
-            # Failed before start: initial server_power is 0.0, the
-            # balancer skips it, and _free_slots never counts it.
+            # Failed before start: every power refresh (cap and brake
+            # landings included) holds it at 0.0, the balancer skips
+            # it, and _free_slots never counts it.
             server.failed = True
-    core = simulator.start(requests, duration_s, shard_serving=True)
-    # The SoA mirror is built all-False; sync it, or the vectorized
-    # group refresh at cap/brake landings would hand non-owned servers
-    # their idle power back.
-    for index in range(config.n_servers):
-        if index not in owned:
-            core.arrays.failed[index] = True
-    return core
+    return simulator.start(requests, duration_s, shard_serving=True)
 
 
 def _shard_worker(conn, config, requests, duration_s, shard, n_shards,

@@ -32,9 +32,10 @@ With no fault plan (or an all-zeros one) every fault path is inert and
 the simulator is bit-identical to the original POLCA reproduction. The
 simulator is deterministic for a fixed seed, plan, and request trace.
 
-The event loop itself lives in :class:`repro.cluster.core.SimulationCore`
-— a struct-of-arrays core that batches group power refreshes through
-vectorized kernels and exposes checkpoint/restore (for
+The event loop itself lives in :class:`repro.cluster.core.SimulationCore`,
+which dispatches each event kind to one handler method, keeps
+per-server state only on the :class:`~repro.cluster.server_sim.ServerSim`
+objects, and exposes checkpoint/restore (for
 :mod:`repro.exec.incremental`) and shard hooks (for
 :mod:`repro.cluster.sharded`). ``ClusterSimulator`` is the stable
 facade: configuration, server/pool construction, and run orchestration.

@@ -33,7 +33,7 @@ from repro.workloads.spec import Priority
 #: ledger of :mod:`repro.powerfail` (trips, shedding, staged
 #: re-energization, exact energy conservation). Version 6 adds the
 #: ``sim_core`` observability section (per-event-kind kernel timers of
-#: the struct-of-arrays event loop, recorded when
+#: the simulator's event loop, recorded when
 #: ``ClusterSimulator(kernel_timers=True)``).
 SCHEMA_VERSION = 6
 

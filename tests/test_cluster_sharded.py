@@ -8,6 +8,7 @@ to the in-process driver for every shard count.
 
 import pytest
 
+from repro.cluster import sharded
 from repro.cluster.sharded import ShardedSimulator
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.core.policy import DualThresholdPolicy
@@ -132,6 +133,52 @@ class TestMultiShard:
                 offered[request.priority] += 1
         for priority, tier in first.per_priority.items():
             assert tier.served + tier.dropped == offered[priority]
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_non_owned_servers_stay_dark(self, n_shards, monkeypatch):
+        """Every shard core keeps 0 W on the servers it does not own.
+
+        They are failed before start, so each power refresh — the
+        group-wide ones at cap and brake landings included — must hold
+        them at zero, or the shard's energy integral counts their idle
+        power on top of the shard that owns them.
+        """
+        config, policy_cls, requests = reference_run("polca-oversubscribed")
+        cores = []
+        build = sharded._build_shard_core
+
+        def build_and_keep(config, requests, duration_s, shard, n_shards,
+                           recorder=None):
+            core = build(config, requests, duration_s, shard, n_shards,
+                         recorder)
+            owned = sharded._owned_indices(config.n_servers, shard, n_shards)
+            cores.append((core, set(owned)))
+            return core
+
+        def assert_dark():
+            assert len(cores) == n_shards
+            for core, owned in cores:
+                for index, power in enumerate(core.server_power):
+                    if index not in owned:
+                        assert power == 0.0, (index, power)
+
+        tick_reply = sharded._LocalShard.tick_reply
+
+        def checked_tick_reply(backend, reply):
+            assert_dark()
+            return tick_reply(backend, reply)
+
+        monkeypatch.setattr(sharded, "_build_shard_core", build_and_keep)
+        monkeypatch.setattr(
+            sharded._LocalShard, "tick_reply", checked_tick_reply
+        )
+        result = ShardedSimulator(
+            config, policy_cls(), n_shards=n_shards
+        ).run(requests, 240.0)
+        assert_dark()
+        # The config both brakes and caps, so landings were checked.
+        assert result.power_brake_events > 0
+        assert result.capping_actions > 0
 
     @pytest.mark.skipif(not fork_available(), reason="requires fork")
     @pytest.mark.parametrize("n_shards", [2, 3])

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cluster.core import EVENT_HANDLERS
 from repro.exec.codec import result_from_dict, result_to_dict
 from repro.obs import MemoryRecorder
 
@@ -42,10 +43,25 @@ def _comparable(payload):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))
-def test_bare_run_matches_golden(name, goldens):
-    result = run_reference(name)
+@pytest.mark.parametrize(
+    "name, kernel_timers",
+    [pytest.param(name, False, id=name) for name in sorted(REFERENCE_CONFIGS)]
+    + [
+        pytest.param(name, True, id=f"{name}-timed")
+        for name in sorted(REFERENCE_CONFIGS)
+    ],
+)
+def test_bare_run_matches_golden(name, kernel_timers, goldens):
+    """Untimed and timed runs both match; timing adds only counters."""
+    result = run_reference(name, kernel_timers=kernel_timers)
     assert _comparable(result_to_dict(result)) == _comparable(goldens[name])
+    if kernel_timers:
+        timers = result.observability["sim_core"]["kernel_timers"]
+        assert timers
+        assert set(timers) <= set(EVENT_HANDLERS)
+        assert all(cell["calls"] > 0 for cell in timers.values())
+    else:
+        assert result.observability is None
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_CONFIGS))

@@ -86,15 +86,19 @@ REFERENCE_CONFIGS = {
 }
 
 
-def run_reference(name, recorder=None, duration_s=240.0, rate_per_s=4.0):
+def run_reference(name, recorder=None, duration_s=240.0, rate_per_s=4.0,
+                  kernel_timers=False):
     overrides, policy_factory = REFERENCE_CONFIGS[name]
     config = ClusterConfig(**overrides)
     requests = make_requests(rate_per_s, duration_s, seed=config.seed)
     if recorder is None:
-        simulator = ClusterSimulator(config, policy_factory())
+        simulator = ClusterSimulator(
+            config, policy_factory(), kernel_timers=kernel_timers
+        )
     else:
         simulator = ClusterSimulator(
-            config, policy_factory(), recorder=recorder
+            config, policy_factory(), recorder=recorder,
+            kernel_timers=kernel_timers,
         )
     return simulator.run(requests, duration_s)
 
