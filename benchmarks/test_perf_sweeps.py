@@ -26,8 +26,10 @@ pins them exactly.
 
 ``test_perf_sim_core`` emits ``BENCH_sim_core.json`` for the
 simulation core and the checkpointed incremental executor: the same
-grid serial-cold (the ``soa_serial`` section; the pre-SoA seed's wall time
-is recorded alongside for the vs-seed comparison), through the
+grid on the serial path, cold (the ``soa_serial`` section, a key kept
+from the retired struct-of-arrays core so committed baselines still
+match; the seed simulator's wall time is recorded alongside for the
+vs-seed comparison), through the
 process-pool optimized path (>= 2x floor), through the incremental
 executor cold (prefix restores, with the executor's saved/replayed
 second counters), and a warm ``threshold_search`` re-run answered from
@@ -261,10 +263,10 @@ SIM_CORE_REPORT_PATH = (
 )
 
 #: Serial wall-clock of this exact grid (default 6 h horizon) measured
-#: on the pre-struct-of-arrays simulator before the core refactor, on
-#: the CI reference machine. The SoA section below reports the current
-#: serial time next to it so the vs-seed ratio is tracked run over run.
-PRE_SOA_SERIAL_WALL_S = 8.8
+#: on the seed simulator, on the CI reference machine. The serial-path
+#: section below reports the current serial time next to it so the
+#: vs-seed ratio is tracked run over run.
+SEED_SERIAL_WALL_S = 8.8
 
 
 def test_perf_sim_core(benchmark):
@@ -334,9 +336,9 @@ def test_perf_sim_core(benchmark):
         },
         "soa_serial": {
             "wall_s": round(serial_wall, 3),
-            "pre_soa_seed_wall_s": PRE_SOA_SERIAL_WALL_S,
+            "pre_soa_seed_wall_s": SEED_SERIAL_WALL_S,
             "speedup_vs_seed": round(
-                PRE_SOA_SERIAL_WALL_S / serial_wall, 3
+                SEED_SERIAL_WALL_S / serial_wall, 3
             ) if serial_wall > 0 else 0.0,
         },
         "optimized": {
@@ -364,8 +366,8 @@ def test_perf_sim_core(benchmark):
     }
     SIM_CORE_REPORT_PATH.write_text(json.dumps(report, indent=2) + "\n")
     print(f"\n=== Simulator core: {GRID_HOURS:.0f}h Fig 13 grid ===")
-    print(f"SoA serial:        {serial_wall:6.2f} s "
-          f"(seed was {PRE_SOA_SERIAL_WALL_S:.1f} s)")
+    print(f"serial:            {serial_wall:6.2f} s "
+          f"(seed was {SEED_SERIAL_WALL_S:.1f} s)")
     print(f"optimized (x{PARALLEL_WORKERS}):    {optimized_wall:6.2f} s  "
           f"{optimized_speedup:.2f}x")
     print(f"incremental cold:  {incremental_wall:6.2f} s  "

@@ -310,25 +310,35 @@ class SimulationCore:
         }
         self._offered_workload: Dict[str, int] = {}
 
+        # Arrivals and ticks are known up front: they go to the queue's
+        # pre-sorted list as (time, sequence, payload) triples, numbered
+        # in the order they would have been pushed, so time ties break
+        # exactly as on a single heap.
+        known: List[Tuple[float, int, Any]] = []
+        append = known.append
+        sequence = self.queue.sequence
         for i, request in enumerate(requests):
-            if request.arrival_time < duration_s:
+            arrival = request.arrival_time
+            if arrival < duration_s:
                 if shard_serving:
-                    self.queue.push(
-                        request.arrival_time, ("arrival", request, i)
-                    )
+                    append((arrival, sequence, ("arrival", request, i)))
                 else:
-                    self.queue.push(request.arrival_time, ("arrival", request))
+                    append((arrival, sequence, ("arrival", request)))
+                sequence += 1
         # Integer-indexed tick schedule: i * interval carries no
         # accumulated float error on long traces (unlike a +=-style or
         # np.arange cursor).
-        n_ticks = int(math.ceil(duration_s / config.telemetry_interval_s))
+        interval = config.telemetry_interval_s
+        n_ticks = int(math.ceil(duration_s / interval))
         scheduled_ticks = 0
         for i in range(n_ticks):
-            tick = i * config.telemetry_interval_s
+            tick = i * interval
             if tick >= duration_s:
                 break
-            self.queue.push(tick, ("tick",))
+            append((tick, sequence, ("tick",)))
+            sequence += 1
             scheduled_ticks += 1
+        self.queue.adopt(known)
         self.scheduled_ticks = scheduled_ticks
         # The tick count is known up front: accumulate power samples
         # into a preallocated array instead of growing a list.
@@ -675,6 +685,10 @@ class SimulationCore:
 
     def _command_caps(self, now: float, desired: GroupCaps) -> None:
         commanded = self.commanded
+        if desired is commanded:
+            # Policies hand back the same prebuilt caps tick after tick;
+            # equal but distinct caps still go through the comparison.
+            return
         for priority, want, have in (
             (Priority.LOW, desired.low_clock_mhz, commanded.low_clock_mhz),
             (Priority.HIGH, desired.high_clock_mhz,

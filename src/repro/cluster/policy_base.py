@@ -27,10 +27,13 @@ class GroupCaps:
     low_clock_mhz: Optional[float] = None
     high_clock_mhz: Optional[float] = None
 
-    @classmethod
-    def uncapped(cls) -> "GroupCaps":
-        """No caps on either group."""
-        return cls(low_clock_mhz=None, high_clock_mhz=None)
+    @staticmethod
+    def uncapped() -> "GroupCaps":
+        """No caps on either group (one shared instance; it is frozen)."""
+        return _UNCAPPED
+
+
+_UNCAPPED = GroupCaps()
 
 
 class PowerPolicy(abc.ABC):

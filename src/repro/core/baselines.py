@@ -36,6 +36,7 @@ class SingleThresholdLowPriPolicy(PowerPolicy):
         self.uncap_margin = uncap_margin
         self.lp_clock_mhz = lp_clock_mhz
         self.name = "1-Thresh-Low-Pri"
+        self._capped_caps = GroupCaps(low_clock_mhz=lp_clock_mhz)
         self._capped = False
 
     def reset(self) -> None:
@@ -49,7 +50,7 @@ class SingleThresholdLowPriPolicy(PowerPolicy):
         elif utilization < self.threshold - self.uncap_margin:
             self._capped = False
         if self._capped:
-            return GroupCaps(low_clock_mhz=self.lp_clock_mhz)
+            return self._capped_caps
         return GroupCaps.uncapped()
 
 
@@ -68,6 +69,9 @@ class SingleThresholdAllPolicy(PowerPolicy):
         self.uncap_margin = uncap_margin
         self.clock_mhz = clock_mhz
         self.name = "1-Thresh-All"
+        self._capped_caps = GroupCaps(
+            low_clock_mhz=clock_mhz, high_clock_mhz=clock_mhz
+        )
         self._capped = False
 
     def reset(self) -> None:
@@ -81,9 +85,7 @@ class SingleThresholdAllPolicy(PowerPolicy):
         elif utilization < self.threshold - self.uncap_margin:
             self._capped = False
         if self._capped:
-            return GroupCaps(
-                low_clock_mhz=self.clock_mhz, high_clock_mhz=self.clock_mhz
-            )
+            return self._capped_caps
         return GroupCaps.uncapped()
 
 

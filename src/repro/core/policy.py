@@ -71,6 +71,9 @@ class PolcaThresholds:
 #: The configuration selected by the paper's threshold search (Section 6.5).
 POLCA_DEFAULTS = PolcaThresholds()
 
+#: ``_t2_breached_since`` while T2 is not breached.
+_NOT_BREACHED = float("inf")
+
 
 class DualThresholdPolicy(PowerPolicy):
     """POLCA's stateful dual-threshold controller.
@@ -90,8 +93,19 @@ class DualThresholdPolicy(PowerPolicy):
     def __init__(self, thresholds: PolcaThresholds = POLCA_DEFAULTS) -> None:
         self.thresholds = thresholds
         self.name = "POLCA"
+        # The caps of each escalation level, built once: desired_caps
+        # runs on every telemetry tick and returns one of these.
+        self._level_caps = (
+            GroupCaps.uncapped(),
+            GroupCaps(low_clock_mhz=thresholds.lp_t1_clock_mhz),
+            GroupCaps(low_clock_mhz=thresholds.lp_t2_clock_mhz),
+            GroupCaps(
+                low_clock_mhz=thresholds.lp_t2_clock_mhz,
+                high_clock_mhz=thresholds.hp_t2_clock_mhz,
+            ),
+        )
         self._level = 0
-        self._t2_breached_since: float = float("inf")
+        self._t2_breached_since: float = _NOT_BREACHED
 
     @property
     def level(self) -> int:
@@ -101,13 +115,13 @@ class DualThresholdPolicy(PowerPolicy):
     def reset(self) -> None:
         """Return to the uncapped mode."""
         self._level = 0
-        self._t2_breached_since = float("inf")
+        self._t2_breached_since = _NOT_BREACHED
 
     def desired_caps(self, utilization: float, now: float = 0.0) -> GroupCaps:
         """Apply the Table 5 state machine to one telemetry reading."""
         t = self.thresholds
         if utilization >= t.t2:
-            if self._t2_breached_since == float("inf"):
+            if self._t2_breached_since == _NOT_BREACHED:
                 self._t2_breached_since = now
             # The first T2 breach deepens the LP cap; only if the breach
             # outlasts the OOB actuation latency (i.e. the deeper LP cap
@@ -122,9 +136,9 @@ class DualThresholdPolicy(PowerPolicy):
                 self._level = max(self._level, 2)
         elif utilization >= t.t1:
             self._level = max(self._level, 1)
-            self._t2_breached_since = float("inf")
+            self._t2_breached_since = _NOT_BREACHED
         else:
-            self._t2_breached_since = float("inf")
+            self._t2_breached_since = _NOT_BREACHED
         # Hysteretic de-escalation, one level per tick: each step releases
         # less power than the 5% uncap margin, so stepping down cannot
         # immediately re-trigger the threshold it just left (the
@@ -135,17 +149,4 @@ class DualThresholdPolicy(PowerPolicy):
             self._level = 1
         elif self._level == 1 and utilization < t.t1 - t.uncap_margin:
             self._level = 0
-        return self._caps_for_level(self._level)
-
-    def _caps_for_level(self, level: int) -> GroupCaps:
-        t = self.thresholds
-        if level == 0:
-            return GroupCaps.uncapped()
-        if level == 1:
-            return GroupCaps(low_clock_mhz=t.lp_t1_clock_mhz)
-        if level == 2:
-            return GroupCaps(low_clock_mhz=t.lp_t2_clock_mhz)
-        return GroupCaps(
-            low_clock_mhz=t.lp_t2_clock_mhz,
-            high_clock_mhz=t.hp_t2_clock_mhz,
-        )
+        return self._level_caps[self._level]

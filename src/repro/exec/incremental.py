@@ -54,8 +54,9 @@ from repro.obs.recorder import MemoryRecorder, TraceRecorder
 #: event tape (the full trace, per-checkpoint event counts, and
 #: pickled metrics registries) so resumed runs can replay the
 #: checkpointed prefix's events and record traces identical to a cold
-#: run's.
-INCREMENTAL_SCHEMA = 2
+#: run's. Schema 3: the pickled event queue holds the arrivals and ticks
+#: in a pre-sorted list beside its heap.
+INCREMENTAL_SCHEMA = 3
 
 
 def family_digest(spec: RunSpec) -> str:

@@ -163,6 +163,8 @@ class FaultInjector:
         Dropout wins over freeze when windows overlap. Tallies the
         injected fault.
         """
+        if not self._dropout_starts and not self._freeze_starts:
+            return TelemetryFate.OK
         if self._in_windows(t, self._dropout_starts, self.dropout_windows):
             self.dropped_ticks += 1
             return TelemetryFate.DROPPED

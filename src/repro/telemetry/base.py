@@ -10,7 +10,7 @@ measurement path (in-band or out-of-band), and a noise/staleness profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
@@ -21,9 +21,11 @@ from repro.errors import ConfigurationError, TelemetryError
 Signal = Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
+class TelemetrySample(NamedTuple):
     """One reading from a monitoring interface.
+
+    A named tuple rather than a dataclass: the simulator takes one
+    reading per telemetry tick, and a tuple is far cheaper to build.
 
     Attributes:
         time: When the reading became *available* to the consumer, which is
@@ -77,7 +79,7 @@ class SampledInterface:
         noisy = true_value
         if self.noise_std > 0:
             noisy = true_value * (1.0 + self.noise_std * self._rng.standard_normal())
-        return TelemetrySample(time=now + self.delay, value=noisy, sampled_at=now)
+        return TelemetrySample(now + self.delay, noisy, now)
 
     def sample_series(
         self, signal: Signal, start: float, end: float

@@ -1,10 +1,14 @@
 """The discrete-event cluster simulator."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.cluster.policy_base import GroupCaps, PowerPolicy
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.core.baselines import NoCapPolicy
+from repro.core.policy import DualThresholdPolicy
 from repro.errors import ConfigurationError
 from repro.workloads.requests import RequestSampler
 from repro.workloads.spec import Priority
@@ -12,7 +16,6 @@ from repro.workloads.spec import Priority
 
 def make_requests(rate_per_s, duration_s, seed=0):
     """A simple homogeneous-Poisson request trace."""
-    import numpy as np
     rng = np.random.default_rng(seed)
     sampler = RequestSampler(seed=seed)
     t, arrivals = 0.0, []
@@ -165,3 +168,35 @@ class TestPolicyInteraction:
         # sensitivity is 0.18), so end-to-end p50 rises well above 1.5x.
         assert braked.latency_summary(Priority.HIGH).p50 > \
             1.5 * free.latency_summary(Priority.HIGH).p50
+
+
+class _FreshCapsPolca(DualThresholdPolicy):
+    """POLCA returning a fresh, equal ``GroupCaps`` object on every tick."""
+
+    def desired_caps(self, utilization, now=0.0):
+        return dataclasses.replace(super().desired_caps(utilization, now))
+
+
+class TestCapDeduplication:
+    def test_caps_deduplicate_by_value_not_identity(self):
+        # The simulator skips re-commanding caps it already commanded.
+        # A policy that builds new but equal caps every tick must issue
+        # exactly the commands of one that hands back shared instances.
+        fresh_policy = _FreshCapsPolca()
+        assert fresh_policy.desired_caps(0.5) \
+            is not fresh_policy.desired_caps(0.5)
+        fresh_policy.reset()
+        requests = make_requests(rate_per_s=1.0, duration_s=1200.0)
+        config = small_config(added_fraction=0.3)
+        plain = ClusterSimulator(config, DualThresholdPolicy()).run(
+            requests, 1200.0
+        )
+        fresh = ClusterSimulator(config, fresh_policy).run(requests, 1200.0)
+        assert plain.capping_actions > 10
+        assert plain.power_brake_events > 0
+        assert fresh.capping_actions == plain.capping_actions
+        assert fresh.power_brake_events == plain.power_brake_events
+        np.testing.assert_array_equal(
+            fresh.power_series.values, plain.power_series.values
+        )
+        assert fresh.total_energy_j == plain.total_energy_j
