@@ -6,8 +6,8 @@ threshold sweep:
 1. **Journal** — an :class:`~repro.obs.ledger.ExperimentLedger` rides
    along on the sweep engine and appends one schema-versioned JSONL
    entry per run: content digest, policy + seed, wall time, provenance
-   flags (cache hit / incremental / retries / quarantine / shards),
-   the worker's ``getrusage`` footprint, and the headline result
+   flags (cache hit / incremental / retries / quarantine), the
+   worker's ``getrusage`` footprint, and the headline result
    metrics. The sweep is run twice, so the second pass journals pure
    cache hits — the savings the ledger makes visible.
 2. **Sentinel** — :func:`~repro.obs.regress.check_ledger` diffs the

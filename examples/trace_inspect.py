@@ -33,7 +33,7 @@ tool renders such a trace for a human:
   matches).
 * ``python examples/trace_inspect.py query trace.jsonl`` runs the trace
   query engine: filter by ``--kinds``/``--since``/``--until``/
-  ``--server``/``--shard``/``--where field=value``, project with
+  ``--server``/``--where field=value``, project with
   ``--fields``, aggregate with ``--group-by`` + ``--agg`` (count,
   sum:f, mean:f, pNN:f). Rows print as sorted-key JSON lines (exit 0:
   results printed, 1: empty result set, 2: invalid query).
@@ -384,7 +384,6 @@ def ledger_main(argv) -> int:
             "I" if prov.get("incremental_resumed")
             or prov.get("incremental_reused") else "",
             "Q" if prov.get("quarantined") else "",
-            "S" if (prov.get("shards") or 1) > 1 else "",
         )) or "-"
         print(f"  {str(entry.get('policy')):<22}"
               f"{entry.get('seed')!s:>5}"
@@ -395,7 +394,7 @@ def ledger_main(argv) -> int:
               f"{float(metrics.get('total_energy_j') or 0.0):>13.1f}"
               f"  {str(entry.get('digest'))[:12]}")
     print("  provenance flags: C cache hit, I incremental, "
-          "Q quarantined, S sharded")
+          "Q quarantined")
     return 0
 
 
@@ -424,15 +423,6 @@ def query_main(argv) -> int:
     parser.add_argument(
         "--server", default=None,
         help="keep events of this server id (e.g. s12)",
-    )
-    parser.add_argument(
-        "--shard", type=int, default=None,
-        help="keep events whose server lives on this shard "
-             "(requires --n-shards)",
-    )
-    parser.add_argument(
-        "--n-shards", type=int, default=None,
-        help="shard count of the recorded run (with --shard)",
     )
     parser.add_argument(
         "--where", action="append", default=[], metavar="FIELD=VALUE",
@@ -482,8 +472,6 @@ def query_main(argv) -> int:
         t_min=args.since,
         t_max=args.until,
         server=args.server,
-        shard=args.shard,
-        n_shards=args.n_shards,
         where=where or None,
     )
     if args.group_by is not None:

@@ -23,7 +23,6 @@ from repro.cluster.events import EventQueue
 from repro.cluster.server_sim import ServerSim, ServerPowerModel
 from repro.cluster.loadbalancer import LoadBalancer
 from repro.cluster.metrics import PriorityMetrics, SimulationResult
-from repro.cluster.sharded import ShardedSimulator
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 
 __all__ = [
@@ -34,6 +33,5 @@ __all__ = [
     "PriorityMetrics",
     "ServerPowerModel",
     "ServerSim",
-    "ShardedSimulator",
     "SimulationResult",
 ]

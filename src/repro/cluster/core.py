@@ -2,27 +2,19 @@
 
 :class:`SimulationCore` owns every piece of mutable state of one run —
 what used to live in the locals and closures of ``ClusterSimulator.run``
-— which buys two capabilities without changing a single simulated
-outcome (the golden-parity suite pins bit-identity to the pre-refactor
-simulator):
-
-* **Checkpointing.** Because all mutable state hangs off one object,
-  :meth:`SimulationCore.snapshot` can deep-copy a mid-flight run (with
-  immutables — requests, specs, segment tuples — shared via a pre-seeded
-  memo) and :mod:`repro.exec.incremental` can resume it under a
-  different controller. Cores pickle (``__getstate__`` re-keys the
-  id-keyed maps) so checkpoints can live in the run cache's blob layer.
-
-* **Sharding.** The telemetry/control block of the tick handler is
-  reachable as methods, so a parent control plane can drive it over
-  merged shard power (``outbox`` captures the command pushes to
-  broadcast) while serve-only shards (:meth:`run_shard`) pause at tick
-  barriers — see :mod:`repro.cluster.sharded`.
+— without changing a single simulated outcome (the golden-parity suite
+pins bit-identity to the pre-refactor simulator). That buys
+checkpointing: :meth:`SimulationCore.snapshot` can deep-copy a
+mid-flight run (with immutables — requests, specs, segment tuples —
+shared via a pre-seeded memo) and :mod:`repro.exec.incremental` can
+resume it under a different controller. Cores pickle
+(``__getstate__`` re-keys the id-keyed maps) so checkpoints can live in
+the run cache's blob layer.
 
 Per-server state has one home, the :class:`~repro.cluster.server_sim
 .ServerSim` objects; the core adds only the running per-server power
 list that the row power and the exact energy integral sum in index
-order. Each event kind has one handler method, and every event loop
+order. Each event kind has one handler method, and the event loop
 dispatches through the module-level :data:`EVENT_HANDLERS` table.
 Per-event-kind kernel timing (:class:`KernelTimers`) is opt-in and
 surfaces in ``result.observability["sim_core"]`` so hot-path regressions
@@ -116,7 +108,6 @@ class SimulationCore:
         simulator: Any,
         requests: Sequence[SampledRequest],
         duration_s: float,
-        shard_serving: bool = False,
     ) -> None:
         config = simulator.config
         self.config = config
@@ -295,21 +286,6 @@ class SimulationCore:
         }
         self.clock_denominator = A100_80GB.max_sm_clock_mhz
 
-        # Sharded-execution hooks (inert in serial runs). A serve-only
-        # shard filters arrivals by the parent's per-epoch assignment
-        # and applies broadcast commands unless their version was
-        # cancelled; a control-plane parent logs its command pushes to
-        # ``outbox`` for broadcast.
-        self.shard_serving = shard_serving
-        self.owned_arrivals: set = set()
-        self.cancelled_brake_versions: set = set()
-        self.outbox: Optional[List[Tuple[float, Any]]] = None
-        self.outbox_cancels: Optional[List[int]] = None
-        self._offered_priority: Dict[Priority, int] = {
-            p: 0 for p in Priority
-        }
-        self._offered_workload: Dict[str, int] = {}
-
         # Arrivals and ticks are known up front: they go to the queue's
         # pre-sorted list as (time, sequence, payload) triples, numbered
         # in the order they would have been pushed, so time ties break
@@ -317,13 +293,10 @@ class SimulationCore:
         known: List[Tuple[float, int, Any]] = []
         append = known.append
         sequence = self.queue.sequence
-        for i, request in enumerate(requests):
+        for request in requests:
             arrival = request.arrival_time
             if arrival < duration_s:
-                if shard_serving:
-                    append((arrival, sequence, ("arrival", request, i)))
-                else:
-                    append((arrival, sequence, ("arrival", request)))
+                append((arrival, sequence, ("arrival", request)))
                 sequence += 1
         # Integer-indexed tick schedule: i * interval carries no
         # accumulated float error on long traces (unlike a +=-style or
@@ -499,12 +472,7 @@ class SimulationCore:
         self.server_power[index] = new_power
         if self.prot is not None:
             for push in self.prot.update_server_power(now, index, new_power):
-                self._push(*push)
-
-    def _push(self, time: float, payload: Any) -> None:
-        self.queue.push(time, payload)
-        if self.outbox is not None:
-            self.outbox.append((time, payload))
+                self.queue.push(*push)
 
     def _workload_tier(self, name: str) -> PriorityMetrics:
         tier = self.workload_metrics.get(name)
@@ -664,7 +632,7 @@ class SimulationCore:
         if record.failed_silently:
             self.report.silent_actuation_failures += 1
         else:
-            self._push(record.effective_at + extra, landing)
+            self.queue.push(record.effective_at + extra, landing)
         if self.verify_commands:
             self.queue.push(
                 now + self.actuator.latency_for(action.kind)
@@ -743,8 +711,7 @@ class SimulationCore:
 
     # ------------------------------------------------------------------
     # The control plane: policy evaluation on each delivered telemetry
-    # observation. In sharded runs the parent core runs exactly this
-    # code over the merged row power.
+    # observation.
     # ------------------------------------------------------------------
     def _control_step(self, now: float, observed_power: float) -> None:
         utilization = observed_power / self.config.provisioned_power_w
@@ -765,8 +732,6 @@ class SimulationCore:
                 # pending release (the stamped brake_off event is now
                 # stale) — the brake never disengages, so this is not a
                 # new engagement.
-                if self.outbox_cancels is not None:
-                    self.outbox_cancels.append(self.brake_version)
                 self.brake_version += 1
                 self.brake_state = "on"
                 if self.recording:
@@ -860,46 +825,6 @@ class SimulationCore:
             now, event = queue.pop()
             process(now, event)
 
-    def run_shard(self):
-        """Serve-only event loop for one shard (a generator).
-
-        Yields ``("tick", now, row_power, free_slots)`` at every
-        telemetry tick — the caller (the epoch-synchronized driver in
-        :mod:`repro.cluster.sharded`) responds via ``send()`` with a
-        dict of ``push`` (command landings to schedule), ``own``
-        (global indices of arrivals assigned to this shard for the next
-        epoch) and ``cancel`` (superseded brake versions). Everything
-        else — arrivals, phase advancement, landings — runs locally.
-        """
-        queue = self.queue
-        while queue:
-            now, event = queue.pop()
-            if event[0] == "tick":
-                self._integrate(now)
-                self.power_samples[self.sample_cursor] = self.row_power
-                self.sample_cursor += 1
-                reply = yield ("tick", now, self.row_power,
-                               self._free_slots())
-                for version in reply.get("cancel", ()):
-                    self.cancelled_brake_versions.add(version)
-                self.owned_arrivals.update(reply.get("own", ()))
-                for time, payload in reply.get("push", ()):
-                    queue.push(time, payload)
-            else:
-                self._process(now, event)
-
-    def _free_slots(self) -> Dict[str, int]:
-        """Free concurrency slots per priority pool (shard tick report)."""
-        free = {}
-        for priority, indices in self._index_by_priority.items():
-            total = 0
-            for i in indices:
-                server = self.servers[i]
-                if not server.failed:
-                    total += server.concurrency - len(server.slots)
-            free[priority.value] = total
-        return free
-
     def _integrate(self, now: float) -> None:
         # Energy and breaker exposure integrate over [0, duration_s]
         # only. In-flight requests still drain after duration_s (and
@@ -926,13 +851,6 @@ class SimulationCore:
     # ------------------------------------------------------------------
     def _on_arrival(self, now: float, event: Tuple) -> None:
         request: SampledRequest = event[1]
-        if self.shard_serving:
-            if event[2] not in self.owned_arrivals:
-                return
-            self._offered_priority[request.priority] += 1
-            name = request.workload.name
-            self._offered_workload[name] = \
-                self._offered_workload.get(name, 0) + 1
         if self.prot is not None and self.shed_active:
             prior = self.defer_counts.get(id(request), 0)
             action = self.emergency.shed_action(
@@ -1103,14 +1021,10 @@ class SimulationCore:
         """``brake_on`` and ``brake_off``: land unless superseded."""
         engaged = event[0] == "brake_on"
         version = event[1]
-        if self.shard_serving:
-            if version in self.cancelled_brake_versions:
-                return
-        elif self.brake_state != ("pending_on" if engaged
-                                  else "pending_off") \
+        if self.brake_state != ("pending_on" if engaged else "pending_off") \
                 or version != self.brake_version:
             return
-        elif engaged:
+        if engaged:
             self.brake_state = "on"
             self.brake_engaged_at = now
         else:
@@ -1397,20 +1311,14 @@ class SimulationCore:
         # Conservation invariant: every scheduled request is accounted
         # exactly once, per priority AND per workload tier — whether it
         # was served, shed, or lost to churn or a breaker trip taking
-        # its server offline mid-request. A serve-only shard counts the
-        # arrivals it owns at pop time (ownership is assigned per epoch
-        # by the parent); serial runs count the whole trace.
-        if self.shard_serving:
-            offered_by_priority = self._offered_priority
-            offered_by_workload = self._offered_workload
-        else:
-            offered_by_priority = {p: 0 for p in Priority}
-            offered_by_workload = {}
-            for request in self.requests:
-                if request.arrival_time < duration_s:
-                    offered_by_priority[request.priority] += 1
-                    offered_by_workload[request.workload.name] = \
-                        offered_by_workload.get(request.workload.name, 0) + 1
+        # its server offline mid-request.
+        offered_by_priority = {p: 0 for p in Priority}
+        offered_by_workload: Dict[str, int] = {}
+        for request in self.requests:
+            if request.arrival_time < duration_s:
+                offered_by_priority[request.priority] += 1
+                offered_by_workload[request.workload.name] = \
+                    offered_by_workload.get(request.workload.name, 0) + 1
         for priority, tier in self.metrics.items():
             if tier.served + tier.dropped != offered_by_priority[priority]:
                 raise SimulationError(
@@ -1505,9 +1413,8 @@ class SimulationCore:
         )
 
 
-#: The one dispatch table: event kind -> handler. Every event loop
-#: (:meth:`SimulationCore.run_all`, :meth:`SimulationCore.run_shard` and
-#: the sharded parent) dispatches through
+#: The one dispatch table: event kind -> handler. The event loop
+#: (:meth:`SimulationCore.run_all`) dispatches through
 #: :meth:`SimulationCore._process`, which looks handlers up here. It
 #: lives at module level so checkpoint pickles and :meth:`snapshot`
 #: copies never carry it.

@@ -36,8 +36,7 @@ The event loop itself lives in :class:`repro.cluster.core.SimulationCore`,
 which dispatches each event kind to one handler method, keeps
 per-server state only on the :class:`~repro.cluster.server_sim.ServerSim`
 objects, and exposes checkpoint/restore (for
-:mod:`repro.exec.incremental`) and shard hooks (for
-:mod:`repro.cluster.sharded`). ``ClusterSimulator`` is the stable
+:mod:`repro.exec.incremental`). ``ClusterSimulator`` is the stable
 facade: configuration, server/pool construction, and run orchestration.
 """
 
@@ -226,7 +225,6 @@ class ClusterSimulator:
         self,
         requests: Sequence[SampledRequest],
         duration_s: float,
-        shard_serving: bool = False,
     ) -> SimulationCore:
         """Reset the policy and build a ready-to-run simulation core.
 
@@ -236,9 +234,7 @@ class ClusterSimulator:
         if duration_s <= 0:
             raise ConfigurationError("duration must be positive")
         self.policy.reset()
-        return SimulationCore(
-            self, requests, duration_s, shard_serving=shard_serving
-        )
+        return SimulationCore(self, requests, duration_s)
 
     def run(
         self,

@@ -91,9 +91,9 @@ class EvaluationHarness:
             unledgered one.
         collector: Per-run trace spool shared by every sweep on this
             harness (see :class:`~repro.obs.collect.TraceCollector`):
-            each simulated run — serial, incremental, pool-worker,
-            quarantine, or sharded — writes one JSONL segment keyed by
-            its content digest, queryable afterwards with
+            each simulated run — serial, incremental, pool-worker or
+            quarantine — writes one JSONL segment keyed by its content
+            digest, queryable afterwards with
             :mod:`repro.obs.query`. ``None`` (default) spools nothing;
             a collected sweep is bit-identical to an uncollected one.
     """

@@ -22,10 +22,6 @@ grids into batches:
   each config/trace family and bit-exactly resumes later policy
   variants from their first divergence, so deep-prefix grid sweeps skip
   the shared simulation prefix instead of replaying it;
-* :meth:`SweepEngine.run_sharded` partitions a fault-free cluster
-  across N serving shards under one parent control plane
-  (:class:`~repro.cluster.sharded.ShardedSimulator`) — bit-identical to
-  serial at ``n_shards=1``, deterministic above;
 * :mod:`~repro.exec.profile` wraps ``cProfile``/``perf_counter`` —
   including the simulator's per-event-kind kernel timers via
   :func:`~repro.exec.profile.profile_kernels` — so hot-path work starts

@@ -148,7 +148,8 @@ class RunCache:
                 try:
                     data = json.loads(path.read_text())
                     result = result_from_dict(data)
-                except (ValueError, KeyError, TypeError):
+                except (ConfigurationError, ValueError, KeyError,
+                        TypeError):
                     result = None  # stale/corrupt entry: treat as a miss
                 if result is not None:
                     self._memory[digest] = result

@@ -37,13 +37,10 @@ from repro.workloads.spec import Priority
 #: ``ClusterSimulator(kernel_timers=True)``).
 SCHEMA_VERSION = 6
 
-#: Schema versions :func:`result_from_dict` can decode. Versions 2-4
-#: differ by which ``observability`` sections exist and by the absent
-#: ``powerfail`` section (decoded as ``None`` — exactly what those
-#: runs produced, since the protection layer did not exist); version 5
-#: lacks only the optional ``sim_core`` section. Old cache entries and
-#: the checked-in v5 golden snapshots stay loadable.
-COMPATIBLE_SCHEMAS = frozenset({2, 3, 4, 5, SCHEMA_VERSION})
+#: Schema versions :func:`result_from_dict` can decode. Version 5 lacks
+#: only the optional ``sim_core`` section, so the checked-in v5 golden
+#: snapshots stay loadable; older cache entries are misses.
+COMPATIBLE_SCHEMAS = frozenset({5, SCHEMA_VERSION})
 
 
 def _metrics_to_dict(metrics: PriorityMetrics) -> Dict[str, Any]:

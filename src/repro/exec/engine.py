@@ -257,8 +257,8 @@ class SweepEngine:
             (:class:`~repro.obs.collect.TraceCollector`). Where
             ``recorder`` sees engine-level events in the parent, the
             collector threads a recorder into every simulated run —
-            serial, incremental, pool-worker, quarantine, and sharded
-            alike — writing one JSONL segment per run digest. Memo
+            serial, incremental, pool-worker and quarantine alike —
+            writing one JSONL segment per run digest. Memo
             cache hits are honored only when the collector already
             holds that digest's segment; otherwise the run is
             re-simulated (bit-identical by determinism) so the trace
@@ -306,74 +306,6 @@ class SweepEngine:
     def run(self, spec: RunSpec) -> SimulationResult:
         """Execute (or recall) a single run."""
         return self.run_specs([spec])[0]
-
-    def run_sharded(
-        self,
-        spec: RunSpec,
-        n_shards: int = 1,
-        parallel: bool = True,
-    ) -> SimulationResult:
-        """Execute one run with its *cluster* sharded across workers.
-
-        Where :meth:`run_specs` parallelizes over grid points, this
-        parallelizes inside a single site-scale simulation: the row is
-        partitioned over ``n_shards`` serve-only shard processes that
-        synchronize with the control plane at telemetry-tick epochs
-        (see :class:`~repro.cluster.sharded.ShardedSimulator`).
-        ``n_shards=1`` is bit-identical to :meth:`run` and shares its
-        cache entry; larger counts are cached under a shard-qualified
-        digest because the partitioned cluster routes independently
-        per shard.
-
-        Raises:
-            ConfigurationError: If the spec's configuration injects
-                faults or attaches a protection hierarchy (sharding
-                requires the fault-free elisions).
-        """
-        digest = spec.digest()
-        if n_shards > 1:
-            digest = f"{digest}-shards{n_shards}"
-        cached = self.cache.get(digest)
-        if cached is not None and (
-            self.collector is None or self.collector.has(digest)
-        ):
-            if self.ledger is not None:
-                self.ledger.record_run(
-                    spec, cached, cache_hit=True, shards=n_shards,
-                )
-            return cached
-        from repro.cluster.sharded import ShardedSimulator
-        from repro.exec import traces
-
-        ledgering = self.ledger is not None
-        usage_before = rusage_snapshot() if ledgering else None
-        run_start = time.perf_counter()
-        requests = traces.requests_for(spec.trace_key())
-        recorder: Optional[TraceRecorder] = (
-            self.collector.job(digest).open()
-            if self.collector is not None else None
-        )
-        try:
-            result = ShardedSimulator(
-                spec.config,
-                spec.policy.build(),
-                n_shards=n_shards,
-                parallel=parallel,
-                recorder=recorder,
-            ).run(requests, spec.duration_s)
-        finally:
-            if recorder is not None:
-                recorder.close()
-        self.cache.put(digest, result)
-        if ledgering:
-            self.ledger.record_run(
-                spec, result,
-                wall_s=time.perf_counter() - run_start,
-                worker=os.getpid(),
-                rusage=rusage_delta(usage_before, rusage_snapshot()),
-                shards=n_shards,
-            )
-        return result
 
     def run_specs(self, specs: Sequence[RunSpec]) -> List[SimulationResult]:
         """Execute a batch; results match the order of ``specs``.

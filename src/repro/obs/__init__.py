@@ -95,15 +95,11 @@ from repro.obs.attribution import (
     top_victims,
 )
 from repro.obs.collect import (
-    PARENT_SHARD,
     RollupRecorder,
     SamplingRecorder,
-    SuppressKindsRecorder,
     TraceCollector,
     TraceJob,
     hash_fraction,
-    merge_segments,
-    shard_suppressed_kinds,
 )
 from repro.obs.dashboard import (
     PALETTE,
@@ -166,7 +162,6 @@ from repro.obs.query import (
     parse_agg,
     project,
     quantile,
-    shard_of_server,
     span_join,
 )
 from repro.obs.spans import (
@@ -214,7 +209,6 @@ __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
     "PALETTE",
-    "PARENT_SHARD",
     "PhaseSpan",
     "RateInterval",
     "RateRule",
@@ -227,7 +221,6 @@ __all__ = [
     "SloViolationRule",
     "SpanBuilder",
     "StreamMonitor",
-    "SuppressKindsRecorder",
     "TeeRecorder",
     "ThresholdRule",
     "Tolerance",
@@ -262,7 +255,6 @@ __all__ = [
     "incident_table",
     "load_events",
     "merge_incident_snapshots",
-    "merge_segments",
     "parse_agg",
     "project",
     "quantile",
@@ -274,8 +266,6 @@ __all__ = [
     "render_sparkline",
     "rusage_snapshot",
     "sanitize_metric_name",
-    "shard_of_server",
-    "shard_suppressed_kinds",
     "span_join",
     "summarize_trace",
     "top_victims",

@@ -33,12 +33,12 @@ conservation identity into the trace-vs-result audit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
+from repro.obs.query import quantile
 from repro.obs.spans import RateInterval, RequestSpan, SpanBuilder
 
 __all__ = [
@@ -340,20 +340,6 @@ def top_victims(
     return ranked[:n]
 
 
-def _percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation percentile (numpy's default method)."""
-    ordered = sorted(values)
-    if not ordered:
-        return 0.0
-    if len(ordered) == 1:
-        return ordered[0]
-    position = (len(ordered) - 1) * q
-    low = math.floor(position)
-    high = math.ceil(position)
-    weight = position - low
-    return ordered[low] * (1.0 - weight) + ordered[high] * weight
-
-
 def attribution_table(
     report: AttributionReport, by: str = "priority"
 ) -> List[str]:
@@ -398,8 +384,8 @@ def attribution_table(
                 sums[name] += float(member.exact[name])
         lines.append(
             f"{key:<12}{len(members):>6}{mean_latency:>12.3f}"
-            f"{_percentile(excesses, 0.50):>12.3f}"
-            f"{_percentile(excesses, 0.99):>12.3f}"
+            f"{quantile(excesses, 0.50):>12.3f}"
+            f"{quantile(excesses, 0.99):>12.3f}"
             f"{sums['cap_slowdown']:>10.3f}"
             f"{sums['brake_stall']:>10.3f}"
             f"{sums['fallback']:>12.3f}"

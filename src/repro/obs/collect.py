@@ -1,26 +1,15 @@
-"""Distributed trace collection: spool, sample, roll up, and merge.
+"""Per-run trace collection: spool, sample and roll up.
 
-The scalable execution paths — :class:`~repro.cluster.sharded
-.ShardedSimulator` shards, :class:`~repro.exec.engine.SweepEngine` pool
-workers, incremental resumes — run simulations the caller's recorder
-never sees directly: shard cores live in forked processes, pool workers
-execute whole runs remotely, resumed cores replay from checkpoints that
-deliberately exclude the recorder. This module makes those paths
-observable without changing a single simulated bit:
+Some execution paths — :class:`~repro.exec.engine.SweepEngine` pool
+workers and incremental resumes — run simulations the caller's recorder
+never sees directly: pool workers execute whole runs in forked
+processes, and resumed cores replay from checkpoints that deliberately
+exclude the recorder. This module makes those paths observable without
+changing a single simulated bit:
 
-* **spooling** — each shard/worker records into its own local sink (a
-  :class:`~repro.obs.recorder.MemoryRecorder` in process, a
-  :class:`~repro.obs.recorder.JsonlRecorder` segment file across a fork
-  boundary), and the parent merges the segments afterwards;
-* **deterministic merging** — :func:`merge_segments` interleaves
-  segments by the stable ``(time_s, shard_id, seq)`` key, so the merged
-  trace is a pure function of the simulated events. Duplicate emissions
-  across planes (every shard applies the same broadcast cap/brake
-  landings; every core emits ``run_meta``) are elided at the spool via
-  :func:`shard_suppressed_kinds`, which keeps exactly one copy of each
-  — the copy whose local ordering matches a serial recording, so a
-  recorded ``n_shards=1`` run merges to the byte-identical serial
-  trace;
+* **per-run spooling** — every simulated run records into its own
+  :class:`~repro.obs.recorder.JsonlRecorder` segment, keyed by the run
+  digest, which the parent reads back afterwards;
 * **overhead bounding** — :class:`SamplingRecorder` keeps a
   deterministic hash-selected fraction of each kind (sha256 of the
   event identity; no RNG state, so the sampled trace is an exact
@@ -40,12 +29,10 @@ from pathlib import Path
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     Union,
 )
@@ -59,107 +46,12 @@ from repro.obs.recorder import (
 )
 
 __all__ = [
-    "PARENT_SHARD",
     "RollupRecorder",
     "SamplingRecorder",
-    "SuppressKindsRecorder",
     "TraceCollector",
     "TraceJob",
     "hash_fraction",
-    "merge_segments",
-    "shard_suppressed_kinds",
 ]
-
-#: Segment id of the control-plane parent in a sharded run. Sorts
-#: before every shard, so at equal times control-plane emissions
-#: (control decisions, issues) precede serve-plane ones.
-PARENT_SHARD = -1
-
-#: Landing events every shard emits identically (the parent broadcasts
-#: each cap/brake landing to all shards). Exactly one copy survives
-#: the merge: shard 0's, whose local ordering interleaves landings
-#: with their own rescale followers exactly as a serial run does.
-_DUPLICATED_LANDINGS = frozenset({"cap_land", "brake_land"})
-
-
-def shard_suppressed_kinds(shard: int) -> FrozenSet[str]:
-    """The kinds segment ``shard`` of a sharded run must not spool.
-
-    The parent (:data:`PARENT_SHARD`) applies broadcast landings to its
-    own idle core, so its ``cap_land``/``brake_land`` copies are
-    duplicates of the serving shards' — and its copies sit at the wrong
-    position relative to the shards' ``phase_rescale`` followers, so
-    the shard-side copies are the ones kept. Shard 0 keeps landings and
-    drops only its ``run_meta`` (the parent's identical copy survives);
-    every other shard drops landings too.
-    """
-    if shard == PARENT_SHARD:
-        return _DUPLICATED_LANDINGS
-    if shard == 0:
-        return frozenset({"run_meta"})
-    return frozenset({"run_meta"}) | _DUPLICATED_LANDINGS
-
-
-class SuppressKindsRecorder(TraceRecorder):
-    """Forwards to an inner recorder, dropping the given kinds.
-
-    The dropped events are counted exactly (``suppressed_by_kind``) so
-    nothing ever disappears silently; everything else — close,
-    finalize, the observability snapshot — delegates to ``inner``.
-    """
-
-    def __init__(
-        self, inner: TraceRecorder, suppress: Iterable[str]
-    ) -> None:
-        self.inner = inner
-        self.suppress = frozenset(suppress)
-        self.suppressed_by_kind: Dict[str, int] = {}
-
-    def emit(self, event: TraceEvent) -> None:
-        kind = event.get("kind")
-        if kind in self.suppress:
-            self.suppressed_by_kind[kind] = \
-                self.suppressed_by_kind.get(kind, 0) + 1
-            return
-        self.inner.emit(event)
-
-    def wants(self, kind: str) -> bool:
-        # Suppressed kinds are censused, so they must still be seen.
-        return kind in self.suppress or self.inner.wants(kind)
-
-    def close(self) -> None:
-        self.inner.close()
-
-    def finalize(self, t_end: float) -> None:
-        self.inner.finalize(t_end)
-
-    def observability_snapshot(self) -> Optional[Dict[str, Any]]:
-        return self.inner.observability_snapshot()
-
-
-def merge_segments(
-    segments: Mapping[int, Sequence[TraceEvent]],
-) -> List[TraceEvent]:
-    """Deterministically merge per-shard event segments.
-
-    Stable sort by ``(time_s, shard_id, seq)``: events order by
-    simulation time; at equal times the lower shard id wins (the
-    control-plane parent is :data:`PARENT_SHARD` ``= -1``); within one
-    segment the original emission order (``seq``) is preserved.
-    Events without a ``t`` (engine events) sort first.
-
-    Args:
-        segments: ``shard_id -> events`` in each segment's emission
-            order.
-    """
-    tagged: List[Tuple[float, int, TraceEvent]] = []
-    for shard in sorted(segments):
-        for event in segments[shard]:
-            tagged.append(
-                (float(event.get("t", float("-inf"))), shard, event)
-            )
-    tagged.sort(key=lambda item: (item[0], item[1]))
-    return [event for _t, _shard, event in tagged]
 
 
 # ----------------------------------------------------------------------

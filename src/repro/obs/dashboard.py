@@ -41,7 +41,6 @@ from html import escape
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.query import group_aggregate, shard_of_server
 
 __all__ = [
     "Dashboard",
@@ -410,74 +409,6 @@ class Dashboard:
             )
         self.add_panel(title, body)
 
-    # ------------------------------------------------------------------
-    # Per-shard activity from a merged distributed trace
-    # ------------------------------------------------------------------
-    def add_shard_panel(
-        self,
-        events: Sequence[Dict[str, Any]],
-        n_shards: int,
-        title: str = "Shard activity",
-    ) -> None:
-        """Per-shard event rates and top kinds from a merged trace.
-
-        Consumes a merged sharded trace (see
-        :func:`repro.obs.collect.merge_segments`) through the query
-        engine: each event routes to the shard owning its ``server``
-        under :func:`repro.obs.query.shard_of_server`; events without
-        a server — control decisions, issues, run metadata — report
-        as the control plane. One row per segment shows its event
-        count, event rate over the trace's time span, and dominant
-        kind; a second table ranks the overall top event kinds.
-        """
-        if n_shards < 1:
-            raise ConfigurationError(
-                f"n_shards must be positive, got {n_shards}"
-            )
-        events = list(events)
-        if not events:
-            self.add_panel(title, '<p class="empty">nothing to show</p>')
-            return
-        times = [
-            float(event["t"]) for event in events
-            if isinstance(event.get("t"), (int, float))
-            and not isinstance(event.get("t"), bool)
-        ]
-        span_s = max(times) - min(times) if len(times) > 1 else 0.0
-        groups: Dict[Optional[int], List[Dict[str, Any]]] = {}
-        for event in events:
-            shard = shard_of_server(event.get("server"), n_shards)
-            groups.setdefault(shard, []).append(event)
-        rows = []
-        for shard in sorted(
-            groups, key=lambda s: (s is None, -1 if s is None else s)
-        ):
-            members = groups[shard]
-            # group rows come back kind-sorted, and max() keeps the
-            # first maximal element — so ties break to the
-            # lexicographically smallest kind, deterministically.
-            kinds = group_aggregate(members, by="kind")
-            top = max(kinds, key=lambda row: row["count"])
-            rows.append((
-                "control plane" if shard is None else f"shard {shard}",
-                len(members),
-                len(members) / span_s if span_s > 0 else 0.0,
-                top["kind"],
-                top["count"],
-            ))
-        body = _table(
-            ("segment", "events", "events/s", "top kind", "top events"),
-            rows,
-        )
-        overall = sorted(
-            group_aggregate(events, by="kind"),
-            key=lambda row: (-row["count"], str(row["kind"])),
-        )[:8]
-        body += _table(
-            ("kind", "events"),
-            [(row["kind"], row["count"]) for row in overall],
-        )
-        self.add_panel(title, body)
 
     # ------------------------------------------------------------------
     # Incidents

@@ -10,8 +10,7 @@ and quarantines) can append one schema-versioned JSON line capturing
   family digest, the trace digest, policy name and thresholds, seed,
   duration, and cluster size;
 * *how* it ran — wall time, executing worker pid, provenance flags
-  (cache hit / incremental resume / shard count / retries /
-  quarantine), and the worker's ``resource.getrusage`` footprint
+  (cache hit / incremental resume / retries / quarantine), and the worker's ``resource.getrusage`` footprint
   (max RSS, CPU time) plumbed back through the process pool;
 * *what it produced* — the headline result metrics (energy, peak
   utilization, brakes, caps, served/dropped, over-budget exposure,
@@ -223,7 +222,6 @@ class ExperimentLedger:
         incremental_reused: bool = False,
         retries: int = 0,
         quarantined: bool = False,
-        shards: int = 1,
     ) -> Dict[str, Any]:
         """Append the standard entry for one executed (or recalled) run.
 
@@ -251,7 +249,6 @@ class ExperimentLedger:
                 "incremental_reused": incremental_reused,
                 "retries": retries,
                 "quarantined": quarantined,
-                "shards": shards,
             },
             "rusage": rusage,
             "metrics": headline_metrics(result),

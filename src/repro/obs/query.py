@@ -1,16 +1,15 @@
 """Trace query engine: filter, project, aggregate, and join.
 
 A small relational layer over trace event streams (lists of plain
-dicts, as produced by every :class:`~repro.obs.recorder.TraceRecorder`
-and by :func:`~repro.obs.collect.merge_segments`). Everything here is
+dicts, as produced by every :class:`~repro.obs.recorder.TraceRecorder`).
+Everything here is
 deterministic: output ordering is a pure function of the input events,
 quantiles use linear interpolation over the sorted values, and group
 rows sort by their group key — so query results feed byte-identical
 dashboard renders and stable CLI output.
 
 The same engine backs three consumers: library callers, the
-``trace_inspect query`` subcommand, and the dashboard's per-shard
-panels. Invalid query specifications raise
+``trace_inspect query`` subcommand, and the dashboard panels. Invalid query specifications raise
 :class:`~repro.errors.ConfigurationError` (the CLI maps that to its
 usage-error exit code).
 """
@@ -40,37 +39,8 @@ __all__ = [
     "parse_agg",
     "project",
     "quantile",
-    "shard_of_server",
     "span_join",
 ]
-
-_SERVER_INDEX = re.compile(r"(\d+)$")
-
-
-def shard_of_server(server: Any, n_shards: int) -> Optional[int]:
-    """The round-robin shard that owns a server id.
-
-    Server ids are ``"s{index}"`` (:mod:`repro.cluster.simulator`) and
-    :class:`~repro.cluster.sharded.ShardedSimulator` assigns servers to
-    shards round-robin, so ``"s12"`` with 5 shards lives on shard 2.
-    Returns ``None`` for values that carry no server index (``None``,
-    names without digits) — such events belong to no serve shard.
-    """
-    if n_shards < 1:
-        raise ConfigurationError(
-            f"n_shards must be positive, got {n_shards}"
-        )
-    if server is None:
-        return None
-    if isinstance(server, bool):
-        return None
-    if isinstance(server, int):
-        return server % n_shards
-    match = _SERVER_INDEX.search(str(server))
-    if match is None:
-        return None
-    return int(match.group(1)) % n_shards
-
 
 def filter_events(
     events: Iterable[TraceEvent],
@@ -78,29 +48,15 @@ def filter_events(
     t_min: Optional[float] = None,
     t_max: Optional[float] = None,
     server: Optional[str] = None,
-    shard: Optional[int] = None,
-    n_shards: Optional[int] = None,
     where: Optional[Mapping[str, Any]] = None,
 ) -> List[TraceEvent]:
-    """Select events by kind, time window, server, shard, and fields.
+    """Select events by kind, time window, server, and fields.
 
     The time window is half-open: ``t_min <= t < t_max``; events
-    without a ``t`` are excluded whenever a time bound is given. The
-    ``shard`` filter keeps events whose ``server`` field maps to that
-    shard under :func:`shard_of_server` (it requires ``n_shards``);
-    events without a server belong to no shard and are excluded.
+    without a ``t`` are excluded whenever a time bound is given.
     ``where`` is field-equality over the event payload. Input order is
     preserved.
     """
-    if (shard is None) != (n_shards is None):
-        raise ConfigurationError(
-            "shard and n_shards must be given together"
-        )
-    if shard is not None and n_shards is not None:
-        if not 0 <= shard < n_shards:
-            raise ConfigurationError(
-                f"shard must be within [0, {n_shards}), got {shard}"
-            )
     kind_set = None
     if kinds is not None:
         kind_set = frozenset(str(kind) for kind in kinds)
@@ -121,9 +77,6 @@ def filter_events(
                 continue
         if server is not None and event.get("server") != server:
             continue
-        if shard is not None and n_shards is not None:
-            if shard_of_server(event.get("server"), n_shards) != shard:
-                continue
         if where is not None and any(
             event.get(field) != value for field, value in where.items()
         ):

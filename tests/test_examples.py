@@ -432,21 +432,6 @@ class TestQueryCli:
         assert serve["count"] == 3
         assert serve["mean:latency_s"] == 4.0
 
-    def test_shard_filter_and_projection(
-        self, trace_inspect, tmp_path, capsys
-    ):
-        code = trace_inspect.main(
-            ["query", self.trace(tmp_path), "--shard", "1",
-             "--n-shards", "2", "--fields", "kind,server"]
-        )
-        assert code == 0
-        rows = [json.loads(line)
-                for line in capsys.readouterr().out.splitlines()]
-        assert rows == [
-            {"kind": "serve", "server": "s1"},
-            {"kind": "drop", "server": "s1"},
-        ]
-
     def test_where_clause_parses_json_values(
         self, trace_inspect, tmp_path, capsys
     ):
@@ -477,9 +462,6 @@ class TestQueryCli:
 
     def test_invalid_query_exits_two(self, trace_inspect, tmp_path, capsys):
         trace = self.trace(tmp_path)
-        assert trace_inspect.main(
-            ["query", trace, "--shard", "0"]
-        ) == 2  # missing --n-shards
         assert trace_inspect.main(
             ["query", trace, "--group-by", "kind", "--agg", "median:x"]
         ) == 2

@@ -137,6 +137,21 @@ class TestRunCache:
         fresh = RunCache(cache_dir=tmp_path)
         assert fresh.get(spec.digest()) is None
 
+    def test_unsupported_schema_disk_entry_is_a_miss(self, tmp_path):
+        import json
+
+        spec = small_spec()
+        cache = RunCache(cache_dir=tmp_path)
+        SweepEngine(workers=1, cache=cache).run(spec)
+        entry = next(tmp_path.glob("*.json"))
+        encoded = json.loads(entry.read_text())
+        encoded["schema"] = 2  # a retired layout, otherwise intact
+        entry.write_text(json.dumps(encoded))
+        fresh = RunCache(cache_dir=tmp_path)
+        assert fresh.get(spec.digest()) is None
+        assert fresh.misses == 1
+        assert fresh.disk_hits == 0
+
 
 class TestBoundedDisk:
     def test_budget_must_be_positive(self, tmp_path):
@@ -262,49 +277,6 @@ class TestCodec:
         encoded["schema"] = -1
         with pytest.raises(ConfigurationError):
             result_from_dict(encoded)
-
-    def test_schema_v2_snapshot_still_decodes(self):
-        """A checked-in schema-2 result file must stay loadable.
-
-        Version 2 predates the live-layer (incidents/alerts/stream) and
-        causal (spans/attribution) observability sections; consumers
-        treat the missing sections as empty, so the codec accepts the
-        old layout rather than invalidating every old cache entry.
-        """
-        import json
-        from pathlib import Path
-
-        path = Path(__file__).parent / "data" / "result_v2.json"
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        assert data["schema"] == 2
-        decoded = result_from_dict(data)
-        assert decoded.total_served > 0
-        assert decoded.duration_s == data["duration_s"]
-        obs = decoded.observability
-        assert set(obs) == {"counters", "gauges", "histograms"}
-        assert "incidents" not in obs and "spans" not in obs
-        # The v2 metrics snapshot aggregates alongside current ones.
-        from repro.obs import aggregate_snapshots
-
-        merged = aggregate_snapshots([obs, None, obs])
-        assert merged["counters"] == {
-            name: 2 * value for name, value in obs["counters"].items()
-        }
-
-    def test_schema_v3_still_decodes(self):
-        encoded = result_to_dict(execute_spec(small_spec()))
-        encoded["schema"] = 3
-        decoded = result_from_dict(encoded)
-        assert decoded.duration_s == encoded["duration_s"]
-
-    def test_schema_v4_still_decodes(self):
-        encoded = result_to_dict(execute_spec(small_spec()))
-        encoded["schema"] = 4
-        del encoded["powerfail"]
-        decoded = result_from_dict(encoded)
-        assert decoded.duration_s == encoded["duration_s"]
-        assert decoded.powerfail is None
 
     def test_schema_v5_still_decodes(self):
         # v5 lacks only the optional sim_core kernel-timer section

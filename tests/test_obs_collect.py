@@ -1,9 +1,6 @@
-"""Distributed trace collection (repro.obs.collect).
+"""Per-run trace collection (repro.obs.collect).
 
-The acceptance bar, mirroring the sharded simulator's own: a recorded
-``n_shards=1`` run merges to the byte-identical serial trace, the
-forked-worker spool merges byte-identically to the in-process one for
-every shard count, engine-collected segments (serial, pool, sharded,
+The acceptance bar: engine-collected segments (serial, pool,
 incremental) equal direct recordings, a resumed incremental run records
 the same stream as a cold run, and sampling keeps a deterministic exact
 subsequence with a census that accounts for every dropped event.
@@ -14,8 +11,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.sharded import ShardedSimulator
-from repro.cluster.simulator import ClusterSimulator
 from repro.errors import ConfigurationError
 from repro.exec import (
     PolicySpec,
@@ -27,20 +22,14 @@ from repro.exec import (
 from repro.exec.cache import RunCache
 from repro.exec.incremental import IncrementalExecutor
 from repro.obs import (
-    PARENT_SHARD,
     MemoryRecorder,
     RollupRecorder,
     SamplingRecorder,
-    SuppressKindsRecorder,
     TraceCollector,
-    cross_check,
     hash_fraction,
-    merge_segments,
-    shard_suppressed_kinds,
 )
 from repro.units import hours
 
-from .test_cluster_sharded import FAULT_FREE, reference_run
 from .test_exec_incremental import REFERENCE_POLICIES, reference_spec
 from .test_obs import assert_results_bit_identical
 
@@ -52,140 +41,6 @@ needs_fork = pytest.mark.skipif(
 def lines(events):
     """The byte-comparison canonical form of an event stream."""
     return [json.dumps(event, sort_keys=True) for event in events]
-
-
-def serial_trace(name, duration_s=240.0):
-    config, policy_cls, requests = reference_run(name, duration_s)
-    recorder = MemoryRecorder()
-    result = ClusterSimulator(
-        config, policy_cls(), recorder=recorder
-    ).run(requests, duration_s)
-    return result, recorder.events
-
-
-def sharded_trace(name, n_shards, parallel=False, duration_s=240.0):
-    config, policy_cls, requests = reference_run(name, duration_s)
-    recorder = MemoryRecorder()
-    result = ShardedSimulator(
-        config, policy_cls(), n_shards=n_shards, parallel=parallel,
-        recorder=recorder,
-    ).run(requests, duration_s)
-    return result, recorder.events
-
-
-# ----------------------------------------------------------------------
-# Merge and suppression units
-# ----------------------------------------------------------------------
-class TestMergeSegments:
-    def test_orders_by_time_then_shard_then_seq(self):
-        merged = merge_segments({
-            1: [{"t": 5.0, "kind": "b"}, {"t": 5.0, "kind": "c"}],
-            0: [{"t": 5.0, "kind": "a"}, {"t": 9.0, "kind": "z"}],
-            PARENT_SHARD: [{"t": 7.0, "kind": "p"}],
-        })
-        assert [e["kind"] for e in merged] == ["a", "b", "c", "p", "z"]
-
-    def test_events_without_t_sort_first(self):
-        merged = merge_segments({
-            0: [{"t": 1.0, "kind": "late"}],
-            PARENT_SHARD: [{"kind": "meta"}],
-        })
-        assert [e["kind"] for e in merged] == ["meta", "late"]
-
-    def test_merge_is_stable_within_a_segment(self):
-        events = [{"t": 2.0, "kind": "x", "seq": i} for i in range(20)]
-        merged = merge_segments({0: events})
-        assert merged == events
-
-    def test_empty_segments_merge_to_nothing(self):
-        assert merge_segments({}) == []
-        assert merge_segments({0: [], 1: []}) == []
-
-
-class TestSuppression:
-    def test_parent_drops_only_broadcast_landings(self):
-        assert shard_suppressed_kinds(PARENT_SHARD) == \
-            frozenset({"cap_land", "brake_land"})
-
-    def test_shard_zero_keeps_landings(self):
-        assert shard_suppressed_kinds(0) == frozenset({"run_meta"})
-
-    def test_other_shards_drop_landings_and_meta(self):
-        assert shard_suppressed_kinds(3) == \
-            frozenset({"run_meta", "cap_land", "brake_land"})
-
-    def test_recorder_counts_what_it_drops(self):
-        inner = MemoryRecorder()
-        recorder = SuppressKindsRecorder(inner, {"noise"})
-        recorder.emit({"kind": "noise", "t": 1.0})
-        recorder.emit({"kind": "signal", "t": 2.0})
-        recorder.emit({"kind": "noise", "t": 3.0})
-        assert [e["kind"] for e in inner.events] == ["signal"]
-        assert recorder.suppressed_by_kind == {"noise": 2}
-
-    def test_delegates_lifecycle_to_inner(self):
-        inner = MemoryRecorder(max_events=1)
-        recorder = SuppressKindsRecorder(inner, ())
-        recorder.emit({"kind": "a"})
-        recorder.emit({"kind": "b"})
-        recorder.finalize(10.0)
-        recorder.close()
-        snapshot = recorder.observability_snapshot()
-        assert snapshot["trace_buffer"]["dropped_events"] == 1
-
-
-# ----------------------------------------------------------------------
-# Sharded recording parity
-# ----------------------------------------------------------------------
-class TestShardedTraceParity:
-    @pytest.mark.parametrize("name", FAULT_FREE)
-    def test_single_shard_merges_to_the_serial_trace(self, name):
-        serial_result, serial_events = serial_trace(name)
-        sharded_result, sharded_events = sharded_trace(name, n_shards=1)
-        assert lines(sharded_events) == lines(serial_events)
-        assert_results_bit_identical(serial_result, sharded_result)
-
-    @pytest.mark.parametrize("name", FAULT_FREE)
-    def test_recording_does_not_perturb_the_result(self, name):
-        config, policy_cls, requests = reference_run(name)
-        bare = ShardedSimulator(config, policy_cls(), n_shards=2).run(
-            requests, 240.0
-        )
-        recorded, _ = sharded_trace(name, n_shards=2)
-        assert_results_bit_identical(bare, recorded)
-
-    @needs_fork
-    @pytest.mark.parametrize("n_shards", [2, 3])
-    def test_forked_spool_matches_in_process(self, n_shards):
-        _, local = sharded_trace(
-            "polca-oversubscribed", n_shards, parallel=False
-        )
-        _, piped = sharded_trace(
-            "polca-oversubscribed", n_shards, parallel=True
-        )
-        assert lines(piped) == lines(local)
-
-    def test_merged_trace_cross_checks_clean(self):
-        result, events = sharded_trace("polca-oversubscribed", n_shards=2)
-        report = cross_check(events, result)
-        report.require_ok()
-
-    def test_merged_observability_counters_are_exact(self):
-        result, events = sharded_trace("polca-oversubscribed", n_shards=2)
-        counters = result.observability["counters"]
-        served = sum(1 for e in events if e.get("kind") == "serve")
-        assert counters["requests.served"] == served
-        assert counters["brake.engagements"] == result.power_brake_events
-        # ticks are counted by parent and shards alike; the merge must
-        # keep the parent's single copy, not the sum.
-        assert counters["telemetry.ticks"] == \
-            sum(1 for e in events if e.get("kind") == "control")
-
-    def test_parity_covers_brake_and_cap_traffic(self):
-        result, events = sharded_trace("polca-oversubscribed", n_shards=2)
-        kinds = {e.get("kind") for e in events}
-        assert result.power_brake_events > 0
-        assert {"brake_land", "cap_land", "cap_issue"} <= kinds
 
 
 # ----------------------------------------------------------------------
@@ -469,16 +324,6 @@ class TestEngineCollection:
         ).run_specs(specs)
         for a, b in zip(bare, collected):
             assert_results_bit_identical(a, b)
-
-    def test_run_sharded_spools_under_qualified_digest(self, tmp_path):
-        spec = tiny_spec(13)
-        collector = TraceCollector(tmp_path / "traces")
-        engine = SweepEngine(workers=1, collector=collector)
-        engine.run_sharded(spec, n_shards=2, parallel=False)
-        assert collector.has(f"{spec.digest()}-shards2")
-        engine.run_sharded(spec, n_shards=1)
-        expected = self.reference_traces([spec])[spec.digest()]
-        assert lines(collector.events(spec.digest())) == expected
 
     def test_sampled_collection_applies_in_every_segment(self, tmp_path):
         specs = self.SPECS()

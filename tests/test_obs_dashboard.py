@@ -45,7 +45,7 @@ def ledger_entries():
             "provenance": {
                 "cache_hit": i >= 2, "incremental_resumed": False,
                 "incremental_reused": False, "retries": 0,
-                "quarantined": False, "shards": 1,
+                "quarantined": False,
             },
             "metrics": {"total_energy_j": 1.25e7,
                         "power_brake_events": 3},
@@ -306,47 +306,3 @@ class TestPrimitives:
         assert ticks[0] >= 0.0 and ticks[-1] <= 1.0
         assert len(ticks) >= 3
         assert _ticks(5.0, 5.0) == [5.0]
-
-
-class TestShardPanel:
-    EVENTS = [
-        {"kind": "run_meta", "t": 0.0},
-        {"kind": "control", "t": 30.0, "utilization": 0.5},
-        {"kind": "serve", "t": 10.0, "server": "s0", "latency_s": 1.0},
-        {"kind": "serve", "t": 20.0, "server": "s2", "latency_s": 2.0},
-        {"kind": "drop", "t": 25.0, "server": "s0", "reason": "queue"},
-        {"kind": "serve", "t": 40.0, "server": "s1", "latency_s": 3.0},
-    ]
-
-    def test_groups_events_by_shard_with_control_plane(self):
-        dash = Dashboard()
-        dash.add_shard_panel(self.EVENTS, n_shards=2)
-        html = dash.render()
-        assert "shard 0" in html and "shard 1" in html
-        assert "control plane" in html
-        # shard 0 owns s0 and s2: two serves and a drop, serve dominant
-        row = html[html.index("shard 0"):html.index("shard 1")]
-        assert "<td>3</td>" in row and "<td>serve</td>" in row
-
-    def test_render_is_byte_identical(self):
-        def build():
-            dash = Dashboard(title="shards")
-            dash.add_shard_panel(self.EVENTS, n_shards=2)
-            return dash.render()
-
-        assert build() == build()
-
-    def test_rates_use_the_trace_time_span(self):
-        dash = Dashboard()
-        dash.add_shard_panel(self.EVENTS, n_shards=2)
-        # span is 40 s; the control plane row holds 2 events -> 0.05/s
-        assert "<td>0.05</td>" in dash.render()
-
-    def test_empty_events_degrade_gracefully(self):
-        dash = Dashboard()
-        dash.add_shard_panel([], n_shards=4)
-        assert "nothing to show" in dash.render()
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            Dashboard().add_shard_panel(self.EVENTS, n_shards=0)

@@ -6,13 +6,11 @@ be the true first difference — every event before it equal, the event
 at it unequal — with the differing field and both values surfaced.
 """
 
-import pytest
-
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.core.baselines import NoCapPolicy
 from repro.obs import MemoryRecorder, diff_traces
 from repro.obs.diff import Divergence, diff_results, format_divergence
-from tests.test_obs import make_requests, run_reference
+from tests.test_obs import make_requests
 
 
 def seeded_run(seed, record=True):

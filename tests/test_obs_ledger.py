@@ -114,7 +114,6 @@ class TestLedgerEntries:
             "incremental_reused": False,
             "retries": 0,
             "quarantined": False,
-            "shards": 1,
         }
         # Per-run rusage: CPU deltas are non-negative, RSS is the
         # process high-water mark in whatever unit the kernel used.
@@ -189,19 +188,6 @@ class TestLedgerEntries:
         assert base["provenance"]["incremental_resumed"] is False
         prov = follower["provenance"]
         assert prov["incremental_resumed"] or prov["incremental_reused"]
-
-    def test_sharded_run_entries(self):
-        ledger = ExperimentLedger()
-        engine = SweepEngine(workers=1, ledger=ledger)
-        spec = tiny_spec()
-        engine.run_sharded(spec, n_shards=2, parallel=False)
-        engine.run_sharded(spec, n_shards=2, parallel=False)
-        executed, recalled = ledger.entries
-        assert executed["provenance"]["shards"] == 2
-        assert executed["provenance"]["cache_hit"] is False
-        assert executed["rusage"] is not None
-        assert recalled["provenance"]["shards"] == 2
-        assert recalled["provenance"]["cache_hit"] is True
 
 
 # ----------------------------------------------------------------------

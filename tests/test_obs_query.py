@@ -15,7 +15,6 @@ from repro.obs import (
     parse_agg,
     project,
     quantile,
-    shard_of_server,
     span_join,
 )
 
@@ -27,22 +26,6 @@ EVENTS = [
     {"kind": "drop", "t": 4.0, "server": "s1", "reason": "queue"},
     {"kind": "engine_run", "digest": "abc"},  # no t
 ]
-
-
-class TestShardOfServer:
-    def test_round_robin_by_trailing_index(self):
-        assert shard_of_server("s12", 5) == 2
-        assert shard_of_server("s0", 3) == 0
-        assert shard_of_server(7, 3) == 1
-
-    def test_no_index_means_no_shard(self):
-        assert shard_of_server(None, 2) is None
-        assert shard_of_server("controller", 2) is None
-        assert shard_of_server(True, 2) is None
-
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            shard_of_server("s1", 0)
 
 
 class TestFilterEvents:
@@ -57,16 +40,6 @@ class TestFilterEvents:
     def test_server_filter(self):
         out = filter_events(EVENTS, server="s1")
         assert [e["kind"] for e in out] == ["serve", "drop"]
-
-    def test_shard_filter_routes_servers(self):
-        out = filter_events(EVENTS, shard=1, n_shards=2)
-        assert [e["server"] for e in out] == ["s1", "s1"]
-
-    def test_shard_requires_n_shards(self):
-        with pytest.raises(ConfigurationError):
-            filter_events(EVENTS, shard=1)
-        with pytest.raises(ConfigurationError):
-            filter_events(EVENTS, shard=5, n_shards=2)
 
     def test_where_is_field_equality(self):
         out = filter_events(EVENTS, where={"reason": "queue"})

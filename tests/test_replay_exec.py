@@ -2,7 +2,7 @@
 
 The tentpole guarantee: a replayed Azure CSV (or session/burst source)
 flows through ``TraceKey``/``RunSpec`` into the sweep engine, the memo
-cache, incremental re-simulation, and sharded execution *unchanged*,
+cache, incremental re-simulation, and the process pool *unchanged*,
 and every path produces bit-identical results. Digests are content
 addresses: same trace bytes → same digest on any machine, regardless
 of where the file lives.
@@ -137,7 +137,7 @@ class TestDigests:
 
 
 class TestExecutionParity:
-    """Serial, parallel, cached, incremental, sharded: one stream."""
+    """Serial, parallel, cached, incremental: one stream."""
 
     @pytest.fixture(scope="class")
     def spec(self):
@@ -170,13 +170,6 @@ class TestExecutionParity:
     def test_incremental_matches_serial(self, spec, serial):
         engine = SweepEngine(workers=1, incremental=True)
         assert_bit_identical(engine.run_specs([spec])[0], serial)
-
-    def test_sharded_matches_serial(self, spec, serial):
-        engine = SweepEngine(workers=1)
-        assert_bit_identical(engine.run_sharded(spec, n_shards=1), serial)
-        two = engine.run_sharded(spec, n_shards=2)
-        again = engine.run_sharded(spec, n_shards=2)
-        assert_bit_identical(two, again)
 
 
 def _stream_digest(requests):
