@@ -4,12 +4,16 @@
 what used to live in the locals and closures of ``ClusterSimulator.run``
 — without changing a single simulated outcome (the golden-parity suite
 pins bit-identity to the pre-refactor simulator). That buys
-checkpointing: :meth:`SimulationCore.snapshot` can deep-copy a
-mid-flight run (with immutables — requests, specs, segment tuples —
-shared via a pre-seeded memo) and :mod:`repro.exec.incremental` can
-resume it under a different controller. Cores pickle
-(``__getstate__`` re-keys the id-keyed maps) so checkpoints can live in
-the run cache's blob layer.
+checkpointing: :meth:`SimulationCore.checkpoint` encodes a mid-flight
+run into a blob and :meth:`SimulationCore.restore` rebuilds it from the
+blob, the run's request trace and the policy to resume under, so
+:mod:`repro.exec.incremental` can resume it under a different
+controller. A blob carries only what changes during a run: requests
+are trace indices, the pre-sorted arrival/tick stream is a count of the
+entries left (rebuilt by :func:`known_events`, the builder
+``__init__`` uses), the policy, recorder and metrics registry stay
+out, and restored servers are rebuilt on the canonical model and GPU
+spec objects, so the process-wide timeline memo keeps hitting.
 
 Per-server state has one home, the :class:`~repro.cluster.server_sim
 .ServerSim` objects; the core adds only the running per-server power
@@ -23,23 +27,26 @@ show up in traces.
 
 from __future__ import annotations
 
-import copy
+import io
 import math
+import pickle
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.timeseries import TimeSeries
-from repro.cluster.events import EventQueue
+from repro.cluster.events import Entry, EventQueue
 from repro.cluster.metrics import PriorityMetrics, SimulationResult
-from repro.cluster.policy_base import GroupCaps
+from repro.cluster.policy_base import GroupCaps, PowerPolicy
+from repro.cluster.server_sim import ServerSim
 from repro.control.actions import ActionKind, ControlAction
-from repro.errors import SimulationError
+from repro.errors import ModelNotFoundError, SimulationError
 from repro.faults.injector import FaultInjector, TelemetryFate
 from repro.faults.plan import FaultPlan
 from repro.faults.report import OverBudgetTracker, RobustnessReport
-from repro.gpu.specs import A100_80GB
+from repro.gpu.specs import A100_80GB, GpuSpec, gpu_spec
+from repro.models.registry import LlmSpec, get_model
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.obs.recorder import NULL_RECORDER, TraceRecorder
 from repro.powerfail.protection import ProtectionRuntime
@@ -92,6 +99,125 @@ class KernelTimers:
                 self.counters.items(), key=lambda kv: -kv[1][1]
             )
         }
+
+
+def known_events(
+    requests: Sequence[SampledRequest],
+    duration_s: float,
+    interval: float,
+    sequence: int,
+) -> Tuple[List[Entry], int]:
+    """The arrivals and ticks of a run, as pre-sorted-queue entries.
+
+    Returns ``(entries, n_ticks)``: one ``(time, sequence, payload)``
+    entry per request arriving before ``duration_s`` (trace order) and
+    then per telemetry tick, numbered consecutively from ``sequence``
+    — the order they would otherwise have been pushed — and the tick
+    count. A fresh core adopts the entries; a restored one rebuilds the
+    identical list and keeps only the entries not yet consumed.
+    """
+    known: List[Entry] = []
+    append = known.append
+    for request in requests:
+        arrival = request.arrival_time
+        if arrival < duration_s:
+            append((arrival, sequence, ("arrival", request)))
+            sequence += 1
+    # Integer-indexed tick schedule: i * interval carries no
+    # accumulated float error on long traces (unlike a +=-style or
+    # np.arange cursor).
+    n_ticks = 0
+    for i in range(int(math.ceil(duration_s / interval))):
+        tick = i * interval
+        if tick >= duration_s:
+            break
+        append((tick, sequence, ("tick",)))
+        sequence += 1
+        n_ticks += 1
+    return known, n_ticks
+
+
+#: Core attributes a checkpoint leaves out; :meth:`SimulationCore.restore`
+#: sets each of them afresh.
+_NOT_CHECKPOINTED = frozenset({
+    "requests", "policy", "recorder", "recording", "_rec_phase_start",
+    "_rec_control", "_rec_req_arrival", "_rec_serve", "obs", "util_hist",
+    "latency_hists", "request_ids", "_ctr_served", "_ctr_dropped",
+    "_wl_hists",
+})
+
+
+def _trace_request(index: int) -> SampledRequest:
+    """What a checkpoint names for a request of the run's trace.
+
+    Never called: :class:`_CheckpointUnpickler` resolves the name to
+    the restoring trace's ``__getitem__``.
+    """
+    raise SimulationError(
+        "checkpoint blobs load through SimulationCore.restore"
+    )
+
+
+def _is_registered(lookup: Callable[[str], Any], obj: Any) -> bool:
+    """Whether ``obj`` is the registry's own instance for its name."""
+    try:
+        return lookup(obj.name) is obj
+    except ModelNotFoundError:
+        return False
+
+
+class _CheckpointPickler(pickle.Pickler):
+    """Pickles core state by reference to what a restore already has.
+
+    Trace requests become indices into the trace; registry models and
+    GPU specs become their registry lookups; servers become their
+    constructor arguments plus the fields a run changes. Python calls
+    ``reducer_override`` for class instances only — never for the
+    floats, ints, lists and dicts that make up most of the state — so
+    the hook is cheap.
+    """
+
+    def __init__(self, file: io.BytesIO, request_ids: Dict[int, int]):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.request_ids = request_ids
+
+    def reducer_override(self, obj: Any) -> Any:
+        cls = type(obj)
+        if cls is SampledRequest:
+            index = self.request_ids.get(id(obj))
+            if index is not None:
+                return _trace_request, (index,)
+        elif cls is ServerSim:
+            # Re-created through the constructor, which derives the GPU
+            # spec, power profile and token-activity table exactly as
+            # the original run did; only the slots are set afterwards.
+            return ServerSim, (
+                obj.server_id, obj.priority, obj.model, obj.power_model,
+                obj.concurrency, obj.clock_ratio, obj.braked, obj.failed,
+                obj.buffered,
+            ), (None, {"slots": obj.slots, "_next_slot": obj._next_slot})
+        elif cls is LlmSpec:
+            if _is_registered(get_model, obj):
+                return get_model, (obj.name,)
+        elif cls is GpuSpec:
+            if _is_registered(gpu_spec, obj):
+                return gpu_spec, (obj.name,)
+        return NotImplemented
+
+
+class _CheckpointUnpickler(pickle.Unpickler):
+    """Loads a checkpoint, resolving request indices against a trace."""
+
+    def __init__(
+        self, file: io.BytesIO, requests: Sequence[SampledRequest]
+    ) -> None:
+        super().__init__(file)
+        self.requests = requests
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == "_trace_request":
+            return self.requests.__getitem__
+        return super().find_class(module, name)
 
 
 class SimulationCore:
@@ -287,30 +413,13 @@ class SimulationCore:
         self.clock_denominator = A100_80GB.max_sm_clock_mhz
 
         # Arrivals and ticks are known up front: they go to the queue's
-        # pre-sorted list as (time, sequence, payload) triples, numbered
-        # in the order they would have been pushed, so time ties break
-        # exactly as on a single heap.
-        known: List[Tuple[float, int, Any]] = []
-        append = known.append
-        sequence = self.queue.sequence
-        for request in requests:
-            arrival = request.arrival_time
-            if arrival < duration_s:
-                append((arrival, sequence, ("arrival", request)))
-                sequence += 1
-        # Integer-indexed tick schedule: i * interval carries no
-        # accumulated float error on long traces (unlike a +=-style or
-        # np.arange cursor).
-        interval = config.telemetry_interval_s
-        n_ticks = int(math.ceil(duration_s / interval))
-        scheduled_ticks = 0
-        for i in range(n_ticks):
-            tick = i * interval
-            if tick >= duration_s:
-                break
-            append((tick, sequence, ("tick",)))
-            sequence += 1
-            scheduled_ticks += 1
+        # pre-sorted list, numbered in the order they would have been
+        # pushed, so time ties break exactly as on a single heap.
+        self.known_sequence = self.queue.sequence
+        known, scheduled_ticks = known_events(
+            requests, duration_s, config.telemetry_interval_s,
+            self.known_sequence,
+        )
         self.queue.adopt(known)
         self.scheduled_ticks = scheduled_ticks
         # The tick count is known up front: accumulate power samples
@@ -329,10 +438,7 @@ class SimulationCore:
                 )
 
     # ------------------------------------------------------------------
-    # Pickling (checkpoint blobs). Id-keyed maps are re-keyed by request
-    # index across the dump; the recorder never travels (restored cores
-    # replay unrecorded). ``copy.deepcopy`` routes through the same
-    # hooks, so :meth:`snapshot` inherits the fixups.
+    # Recording hooks
     # ------------------------------------------------------------------
     def _cache_metric_handles(self) -> None:
         """Bind the histograms and per-request counters of ``obs`` once.
@@ -383,46 +489,13 @@ class SimulationCore:
         self._rec_req_arrival = recording and recorder.wants("req_arrival")
         self._rec_serve = recording and recorder.wants("serve")
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = self.__dict__.copy()
-        state["recorder"] = None
-        state["recording"] = False
-        state["_rec_phase_start"] = False
-        state["_rec_control"] = False
-        state["_rec_req_arrival"] = False
-        state["_rec_serve"] = False
-        state["_ctr_served"] = None
-        state["_ctr_dropped"] = None
-        state["_wl_hists"] = {}
-        state["obs"] = None
-        state["util_hist"] = None
-        state["latency_hists"] = None
-        state["request_ids"] = None
-        if self.defer_counts:
-            index_of = {id(r): i for i, r in enumerate(self.requests)}
-            state["defer_counts"] = {
-                index_of[key]: count
-                for key, count in self.defer_counts.items()
-            }
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.recorder = NULL_RECORDER
-        self.request_ids = {}
-        if self.defer_counts:
-            self.defer_counts = {
-                id(self.requests[i]): count
-                for i, count in self.defer_counts.items()
-            }
-
     def attach_recorder(
         self, recorder: TraceRecorder, registry: MetricsRegistry
     ) -> None:
         """Re-arm recording on a restored checkpoint core.
 
         Checkpoint blobs deliberately exclude the recorder and the
-        metrics registry (see ``__getstate__``), so restored cores
+        metrics registry (see :meth:`checkpoint`), so restored cores
         normally replay unrecorded. An incremental resume that wants
         the full trace replays the prefix events from the family tape
         into ``recorder`` and then calls this with the registry pickled
@@ -436,32 +509,76 @@ class SimulationCore:
         self.obs = registry
         self._cache_metric_handles()
 
-    def snapshot(self) -> "SimulationCore":
-        """Deep-copy this mid-flight run into an independent core.
+    # ------------------------------------------------------------------
+    # The checkpoint codec
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> bytes:
+        """Encode this mid-flight run for :meth:`restore`.
 
-        Immutable structure — the request list and objects, config,
-        power model, per-server specs and shared segment tuples — is
-        shared between the original and the copy via a pre-seeded memo;
-        everything mutable (servers, slots, queue, RNGs, policy,
-        injector/protection state) is copied. The copy replays
-        unrecorded (see ``__getstate__``).
+        The blob carries the state that changes during a run and
+        nothing the restoring side already has: no policy (the resume
+        supplies its own), no recorder or metrics registry (restored
+        cores replay unrecorded until :meth:`attach_recorder`), no
+        request objects (trace indices instead), no pre-sorted
+        arrival/tick stream (a count of the entries left), no unfilled
+        tail of ``power_samples``, and no copies of the model or GPU
+        spec (servers are re-created on the canonical ones).
         """
-        memo: Dict[int, Any] = {id(self.requests): self.requests}
-        for request in self.requests:
-            memo[id(request)] = request
-        for obj in (
-            self.config, self.power_model, self.reliability,
-            self._index_by_priority, self._ids_by_priority, self._all_ids,
-        ):
-            memo[id(obj)] = obj
-        for server in self.servers:
-            memo[id(server.model)] = server.model
-            memo[id(server._spec)] = server._spec
-            memo[id(server._profile)] = server._profile
-            memo[id(server._token_activity)] = server._token_activity
-            for active in server.slots.values():
-                memo[id(active.segments)] = active.segments
-        return copy.deepcopy(self, memo)
+        if not self.request_ids:
+            # The map recording builds anyway; checkpoints reuse it.
+            self.request_ids = {id(r): i for i, r in enumerate(self.requests)}
+        state = {
+            name: value for name, value in self.__dict__.items()
+            if name not in _NOT_CHECKPOINTED
+        }
+        state["queue"] = self.queue.checkpoint()
+        state["power_samples"] = self.power_samples[:self.sample_cursor]
+        state["defer_counts"] = {
+            self.request_ids[key]: count
+            for key, count in self.defer_counts.items()
+        }
+        buffer = io.BytesIO()
+        _CheckpointPickler(buffer, self.request_ids).dump(state)
+        return buffer.getvalue()
+
+    @classmethod
+    def restore(
+        cls,
+        blob: bytes,
+        requests: Sequence[SampledRequest],
+        policy: PowerPolicy,
+    ) -> "SimulationCore":
+        """Rebuild a core from a :meth:`checkpoint` blob.
+
+        ``requests`` must be the trace the checkpointed run replayed
+        (the blob refers to its requests by index); ``policy`` takes
+        over control from the restored state on. The core resumes
+        unrecorded; :meth:`attach_recorder` re-arms recording.
+        """
+        state = _CheckpointUnpickler(io.BytesIO(blob), requests).load()
+        core = cls.__new__(cls)
+        core.__dict__.update(state)
+        core.requests = requests
+        core.policy = policy
+        core.recorder = NULL_RECORDER
+        core.recording = False
+        core._set_kind_gates()
+        core.obs = core.util_hist = core.latency_hists = None
+        core._ctr_served = core._ctr_dropped = None
+        core.request_ids = {}
+        core._wl_hists = {}
+        known, _ = known_events(
+            requests, core.duration_s, core.config.telemetry_interval_s,
+            core.known_sequence,
+        )
+        core.queue = EventQueue.restore(state["queue"], known)
+        core.power_samples = np.empty(core.scheduled_ticks, dtype=np.float64)
+        core.power_samples[:core.sample_cursor] = state["power_samples"]
+        core.defer_counts = {
+            id(requests[index]): count
+            for index, count in state["defer_counts"].items()
+        }
+        return core
 
     # ------------------------------------------------------------------
     # Power refresh
@@ -1416,8 +1533,7 @@ class SimulationCore:
 #: The one dispatch table: event kind -> handler. The event loop
 #: (:meth:`SimulationCore.run_all`) dispatches through
 #: :meth:`SimulationCore._process`, which looks handlers up here. It
-#: lives at module level so checkpoint pickles and :meth:`snapshot`
-#: copies never carry it.
+#: lives at module level so checkpoint blobs never carry it.
 EVENT_HANDLERS: Dict[str, Callable[[SimulationCore, float, Tuple], None]] = {
     "arrival": SimulationCore._on_arrival,
     "phase": SimulationCore._on_phase,

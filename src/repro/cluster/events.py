@@ -95,6 +95,39 @@ class EventQueue:
         self._sequence += len(entries)
         self._sorted = entries
 
+    def checkpoint(self) -> Tuple[List[Entry], int, float, int]:
+        """The queue's state with its adopted batch reduced to a count.
+
+        ``(heap, sequence, clock, left)``: the runtime heap, the next
+        sequence number, the time of the last pop, and how many adopted
+        entries are still unconsumed. The batch is consumed in order, so
+        those are always its ``left`` latest entries and :meth:`restore`
+        needs only the count.
+        """
+        return self._heap, self._sequence, self._last_popped, len(self._sorted)
+
+    @classmethod
+    def restore(
+        cls,
+        state: Tuple[List[Entry], int, float, int],
+        entries: List[Entry],
+    ) -> "EventQueue":
+        """Rebuild a queue from :meth:`checkpoint` output.
+
+        ``entries`` must be the batch the checkpointed queue adopted,
+        rebuilt with the same times and sequence numbers. Like
+        :meth:`adopt`, the list is kept, not copied.
+        """
+        heap, sequence, last_popped, left = state
+        queue = cls()
+        entries.sort(reverse=True)
+        del entries[left:]
+        queue._heap = heap
+        queue._sorted = entries
+        queue._sequence = sequence
+        queue._last_popped = last_popped
+        return queue
+
     def pop(self) -> Tuple[float, Any]:
         """Remove and return the earliest ``(time, payload)``.
 

@@ -364,11 +364,16 @@ class SweepEngine:
                     if incremental is not None
                     else execute_spec
                 )
+                # Each result is stored as soon as it exists: a later
+                # spec of this batch may be an incremental full-tape
+                # match that answers with it.
                 for done, (digest, spec) in enumerate(pending, start=1):
                     if not (recording or ledgering):
-                        resolved[digest] = self._execute_collected(
+                        result = self._execute_collected(
                             execute, digest, spec
                         )
+                        resolved[digest] = result
+                        self.cache.put(digest, result)
                         continue
                     usage_before = (
                         rusage_snapshot() if ledgering else None
@@ -385,6 +390,7 @@ class SweepEngine:
                     result = self._execute_collected(execute, digest, spec)
                     wall_s = time.perf_counter() - run_start
                     resolved[digest] = result
+                    self.cache.put(digest, result)
                     if recording:
                         self._record_run(digest, wall_s, os.getpid())
                         self._record_progress(
@@ -414,8 +420,8 @@ class SweepEngine:
                     pending, resolved, n_workers, batch_hits, start,
                     recording, run_info,
                 )
-            for digest, _ in pending:
-                self.cache.put(digest, resolved[digest])
+                for digest, _ in pending:
+                    self.cache.put(digest, resolved[digest])
         stats = ExecutionStats(
             requested=len(specs),
             unique=len(set(digests)),

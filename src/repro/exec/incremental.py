@@ -11,9 +11,12 @@ trajectories. This module exploits that:
 * the first run of a *family* (same :class:`~repro.cluster.simulator
   .ClusterConfig` + duration, policy excluded — see
   :func:`family_digest`) runs under a :class:`TapePolicy` that records
-  every control-step input/output pair, and pickles full
-  :class:`~repro.cluster.core.SimulationCore` snapshots at epoch
-  boundaries into the :class:`~repro.exec.cache.RunCache` blob layer;
+  every control-step input/output pair, and writes
+  :meth:`~repro.cluster.core.SimulationCore.checkpoint` blobs at epoch
+  boundaries into the :class:`~repro.exec.cache.RunCache` blob layer.
+  A blob holds only the run's changing state — requests are trace
+  indices, and the policy, trace and arrival/tick stream stay out — so
+  it costs a fraction of pickling the whole core;
 * a later sweep point in the same family replays its *own* policy
   against the recorded inputs to find the first control step where the
   answers diverge, restores the latest checkpoint at or before that
@@ -25,10 +28,10 @@ The replay is sound because the recorded inputs (utilization, time,
 which brake call fires) are functions of the simulator trajectory,
 which is identical while the outputs match: the first divergence found
 against the tape is the first divergence of a real run. Checkpoints
-restore bit-identically (pickling round-trips the full core, RNG
-streams included), so suffix replay equals straight-through simulation
-— the parity tests assert this exactly, adversarial fault plans
-included.
+restore bit-identically (the codec round-trips every piece of changing
+state, RNG streams included, and rebuilds the rest from the trace), so
+suffix replay equals straight-through simulation — the parity tests
+assert this exactly, adversarial fault plans included.
 """
 
 from __future__ import annotations
@@ -37,8 +40,9 @@ import hashlib
 import json
 import pickle
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.cluster.core import SimulationCore
 from repro.cluster.metrics import SimulationResult
 from repro.cluster.policy_base import GroupCaps, PowerPolicy
 from repro.cluster.simulator import ClusterSimulator
@@ -55,8 +59,11 @@ from repro.obs.recorder import MemoryRecorder, TraceRecorder
 #: pickled metrics registries) so resumed runs can replay the
 #: checkpointed prefix's events and record traces identical to a cold
 #: run's. Schema 3: the pickled event queue holds the arrivals and ticks
-#: in a pre-sorted list beside its heap.
-INCREMENTAL_SCHEMA = 3
+#: in a pre-sorted list beside its heap. Schema 4: checkpoints are
+#: ``SimulationCore.checkpoint`` blobs (trace indices for requests, a
+#: count for the pre-sorted stream, no policy) and the tape stores its
+#: :class:`StepRecord`\ s as plain tuples.
+INCREMENTAL_SCHEMA = 4
 
 
 def family_digest(spec: RunSpec) -> str:
@@ -83,9 +90,11 @@ def family_digest(spec: RunSpec) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One control step as the policy saw it.
+
+    A named tuple, so the family tape can store its thousands of steps
+    as plain tuples.
 
     Attributes:
         now: Simulation time of the telemetry delivery.
@@ -269,6 +278,7 @@ class IncrementalExecutor:
         if not isinstance(meta, dict) \
                 or meta.get("schema") != INCREMENTAL_SCHEMA:
             return None
+        meta["records"] = list(map(StepRecord._make, meta["records"]))
         return meta
 
     def _base_run(
@@ -284,7 +294,7 @@ class IncrementalExecutor:
         plus — aligned with each checkpoint — the number of events
         emitted strictly before it and the metrics registry as of it
         (checkpoint blobs themselves exclude both; see
-        ``SimulationCore.__getstate__``). The caller's recorder gets
+        ``SimulationCore.checkpoint``). The caller's recorder gets
         the spooled stream replayed at the end.
         """
         policy = TapePolicy(spec.policy.build())
@@ -296,11 +306,10 @@ class IncrementalExecutor:
         event_counts: List[int] = []
         registries: List[bytes] = []
 
-        def checkpoint(when: float, live_core: Any) -> None:
-            blob = pickle.dumps(
-                live_core, protocol=pickle.HIGHEST_PROTOCOL
+        def checkpoint(when: float, live_core: SimulationCore) -> None:
+            self.cache.put_blob(
+                f"{family}-ckpt-{len(epochs)}", live_core.checkpoint()
             )
-            self.cache.put_blob(f"{family}-ckpt-{len(epochs)}", blob)
             epochs.append(when)
             if spool is not None:
                 event_counts.append(len(spool.events))
@@ -312,7 +321,9 @@ class IncrementalExecutor:
         result = core.finalize()
         meta = {
             "schema": INCREMENTAL_SCHEMA,
-            "records": list(policy.tape),
+            # Plain tuples: pickling named tuples calls back into
+            # Python for every record, several times slower.
+            "records": list(map(tuple, policy.tape)),
             "epochs": epochs,
             "result_digest": spec.digest(),
             "events": list(spool.events) if spool is not None else None,
@@ -395,7 +406,6 @@ class IncrementalExecutor:
         index: Optional[int] = None,
         recorder: Optional[TraceRecorder] = None,
     ) -> SimulationResult:
-        core = pickle.loads(blob)
         policy = spec.policy.build()
         policy.reset()
         # Rebuild the policy's hysteresis state as of the checkpoint:
@@ -407,7 +417,9 @@ class IncrementalExecutor:
             if record.now >= when:
                 break
             _feed_step(policy, record)
-        core.policy = policy
+        core = SimulationCore.restore(
+            blob, traces.requests_for(spec.trace_key()), policy
+        )
         if recorder is not None:
             # The base and this variant are bit-identical up to the
             # checkpoint (the prefix matched), so the tape's first

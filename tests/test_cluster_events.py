@@ -190,6 +190,35 @@ class TestPresortedStream:
         full_order = [full.pop() for _ in range(len(full))]
         assert [e for e in expected if e[1] != "late"] == full_order[6:]
 
+    def test_checkpoint_restore_pops_same_remaining_sequence(self):
+        events = [(float(t), ("tick", t)) for t in range(0, 20, 2)] + [
+            (7.0, ("arrival", 0)), (7.0, ("arrival", 1)),
+        ]
+
+        def batch():
+            return [
+                (time, 1 + offset, payload)
+                for offset, (time, payload) in enumerate(events)
+            ]
+
+        for consumed in (0, 5, 9):
+            original = EventQueue()
+            original.push(0.5, "prot")
+            original.adopt(batch())
+            for t in (3.0, 7.0, 11.0):
+                original.push(t, ("phase", t))
+            for _ in range(consumed):
+                original.pop()
+            # The state shares the live heap; a checkpoint pickles it.
+            state = pickle.loads(pickle.dumps(original.checkpoint()))
+            assert state[3] == len(original._sorted)
+            restored = EventQueue.restore(state, batch())
+            assert len(restored) == len(original)
+            original.push(9.0, "late")
+            restored.push(9.0, "late")
+            expected = [original.pop() for _ in range(len(original))]
+            assert [restored.pop() for _ in range(len(restored))] == expected
+
     def test_pickle_carries_only_unconsumed_entries(self):
         queue = EventQueue()
         _adopted(queue, [(float(t), ("tick",)) for t in range(1000)])

@@ -7,12 +7,16 @@ configuration, under adversarial fault plans, and through powerfail
 breaker trips.
 """
 
-import pickle
+import copy
+import pickletools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import server_sim
+from repro.cluster.core import SimulationCore
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.control.emergency import EmergencyConfig
 from repro.core.baselines import NoCapPolicy
@@ -229,18 +233,112 @@ class TestCheckpointRestoreProperty:
         simulator = ClusterSimulator(config, DualThresholdPolicy())
         core = simulator.start(requests, duration)
         core.run_all(
-            epoch, lambda when, c: blobs.append((when, pickle.dumps(c)))
+            epoch,
+            lambda when, c: blobs.append(
+                (when, c.checkpoint(), copy.deepcopy(c.policy))
+            ),
         )
         assert_results_bit_identical(core.finalize(), straight)
         assert blobs
 
-        for when, blob in blobs:
-            restored = pickle.loads(blob)
+        for when, blob, policy in blobs:
+            restored = SimulationCore.restore(blob, requests, policy)
             restored.run_all()
             resumed = restored.finalize()
             assert result_to_dict(resumed) == expected, (
                 f"resume at t={when} diverged"
             )
+
+
+class TestCheckpointCodec:
+    def base_run(self):
+        spec = reference_spec("polca-oversubscribed", PolicySpec("POLCA"))
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=600.0)
+        executor.execute(spec)
+        return spec, executor
+
+    def test_blob_names_no_request_policy_or_tape(self):
+        spec, executor = self.base_run()
+        blob = executor.cache.get_blob(f"{family_digest(spec)}-ckpt-1")
+        assert blob is not None
+        names = {
+            arg for _, arg, _ in pickletools.genops(blob)
+            if isinstance(arg, str)
+        }
+        for forbidden in ("SampledRequest", "TapePolicy", "StepRecord"):
+            assert not any(forbidden in name for name in names), forbidden
+
+    def test_restored_core_shares_canonical_objects(self):
+        config = tripping_config(seed=1)
+        requests = make_requests(4.0, 240.0, seed=1)
+        blobs = []
+        core = ClusterSimulator(config, DualThresholdPolicy()).start(
+            requests, 240.0
+        )
+        core.run_all(60.0, lambda when, c: blobs.append(c.checkpoint()))
+        policy = DualThresholdPolicy()
+        restored = SimulationCore.restore(blobs[1], requests, policy)
+        assert set(vars(restored)) == set(vars(core))
+        assert restored.policy is policy
+        assert restored.requests is requests
+        for original, server in zip(core.servers, restored.servers):
+            assert server.model is original.model
+            assert server._spec is original._spec
+            assert server._profile == original._profile
+            for active in server.slots.values():
+                assert any(active.request is r for r in requests)
+        assert restored.balancer.servers is restored.servers
+
+    def test_shed_deferrals_survive_restore(self):
+        """Deferred arrivals (on the heap and in ``defer_counts``) are
+        trace-index references in the blob and resolve back to the
+        trace's own request objects."""
+        tripping = tripping_config(seed=1)
+        config = replace(tripping, protection=replace(
+            tripping.protection,
+            emergency=EmergencyConfig(shed_priorities=("low", "high")),
+        ))
+        requests = make_requests(6.0, 240.0, seed=1)
+        expected = result_to_dict(
+            ClusterSimulator(config, DualThresholdPolicy()).run(
+                requests, 240.0
+            )
+        )
+        blobs = []
+        core = ClusterSimulator(config, DualThresholdPolicy()).start(
+            requests, 240.0
+        )
+        core.run_all(60.0, lambda when, c: blobs.append(
+            (dict(c.defer_counts), c.checkpoint(), copy.deepcopy(c.policy))
+        ))
+        assert any(defers for defers, _, _ in blobs)
+        for defers, blob, policy in blobs:
+            restored = SimulationCore.restore(blob, requests, policy)
+            assert restored.defer_counts == defers
+            restored.run_all()
+            assert result_to_dict(restored.finalize()) == expected
+
+    def test_resume_keeps_hitting_the_timeline_memo(self, monkeypatch):
+        base_spec = reference_spec("polca-oversubscribed", PolicySpec("POLCA"))
+        variant_spec = reference_spec("polca-oversubscribed", POLCA_HIGH)
+        # Warm the memo with every request shape either run starts.
+        execute_spec(base_spec)
+        execute_spec(variant_spec)
+        calls = []
+        timeline = server_sim.request_timeline
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return timeline(*args, **kwargs)
+
+        monkeypatch.setattr(server_sim, "request_timeline", counted)
+        refs = len(server_sim._timeline_cache_refs)
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
+        executor.execute(base_spec)
+        executor.execute(variant_spec)
+        assert executor.stats.resumed_runs == 1
+        assert calls == []
+        assert len(server_sim._timeline_cache_refs) == refs
 
 
 class TestEngineIntegration:
@@ -288,3 +386,19 @@ class TestEngineIntegration:
         expected = threshold_search(plain, combos, [0.3])
         got = threshold_search(incremental, combos, [0.3])
         assert got == expected
+
+    def test_full_tape_match_in_one_batch_reuses_base_result(self):
+        # At an hour of light load no threshold is reached, so POLCA
+        # answers every control step exactly as No-cap did.
+        harness = EvaluationHarness(
+            n_base_servers=10, duration_s=hours(1), seed=1,
+            incremental=True, checkpoint_epoch_s=600.0,
+        )
+        engine = harness.engine()
+        base, match = engine.run_specs([
+            harness.spec(PolicySpec("No-cap")),
+            harness.spec(PolicySpec("POLCA")),
+        ])
+        assert engine.last_stats.incremental_reused == 1
+        assert engine.last_stats.incremental_resumed == 0
+        assert match is base
