@@ -881,17 +881,19 @@ class SimulationCore:
 
     def _deliver_observation(self, now: float, value: float) -> None:
         reliability = self.reliability
-        if reliability.detect_frozen and self.last_observed is not None \
-                and value == self.last_observed:
-            self.identical_run += 1
+        if reliability.detect_frozen:
+            if self.last_observed is not None and value == self.last_observed:
+                self.identical_run += 1
+            else:
+                self.identical_run = 0
+            self.last_observed = value
+            if self.identical_run >= reliability.frozen_after_ticks:
+                # A sensor repeating itself verbatim is as good as dark.
+                self.stale_ticks += 1
+                return
         else:
             self.identical_run = 0
-        self.last_observed = value
-        if reliability.detect_frozen \
-                and self.identical_run >= reliability.frozen_after_ticks:
-            # A sensor repeating itself verbatim is as good as dark.
-            self.stale_ticks += 1
-            return
+            self.last_observed = value
         self.stale_ticks = 0
         if self.in_fallback:
             self.in_fallback = False
@@ -942,25 +944,25 @@ class SimulationCore:
             now, event = queue.pop()
             process(now, event)
 
-    def _integrate(self, now: float) -> None:
+    def _process(self, now: float, event: Tuple) -> None:
+        """Integrate up to ``now``, then run the event's handler."""
         # Energy and breaker exposure integrate over [0, duration_s]
         # only. In-flight requests still drain after duration_s (and
         # their latencies count), but that drain is outside the
         # reported window, so the integral clamps.
-        if now <= self.duration_s:
-            dt = now - self.last_event_time
-        elif self.last_event_time < self.duration_s:
-            dt = self.duration_s - self.last_event_time
+        duration_s = self.duration_s
+        last = self.last_event_time
+        if now <= duration_s:
+            dt = now - last
+        elif last < duration_s:
+            dt = duration_s - last
         else:
             dt = 0.0
         if dt > 0.0:
-            self.total_energy += self.row_power * dt
-            self.tracker.account(self.row_power, dt)
+            row_power = self.row_power
+            self.total_energy += row_power * dt
+            self.tracker.account(row_power, dt)
         self.last_event_time = now
-
-    def _process(self, now: float, event: Tuple) -> None:
-        """Integrate up to ``now``, then run the event's handler."""
-        self._integrate(now)
         EVENT_HANDLERS[event[0]](self, now, event)
 
     # ------------------------------------------------------------------
@@ -1052,7 +1054,7 @@ class SimulationCore:
         recording = self.recording
         self.power_samples[self.sample_cursor] = self.row_power
         self.sample_cursor += 1
-        sample = self.interface.read(now, lambda _t: self.row_power)
+        available_at, reading = self.interface.observe(now, self.row_power)
         fate = self.injector.telemetry_fate(now)
         if recording and fate is not TelemetryFate.OK:
             self.obs.counter("telemetry.faults").inc()
@@ -1068,11 +1070,11 @@ class SimulationCore:
             if fate is TelemetryFate.FROZEN:
                 value = self.last_observed
             else:
-                value = self.injector.perturb_sample(sample.value)
-            if sample.time <= now:
+                value = self.injector.perturb_sample(reading)
+            if available_at <= now:
                 self._deliver_observation(now, value)
             else:
-                self.queue.push(sample.time, ("obs", value))
+                self.queue.push(available_at, ("obs", value))
         # --- Graceful degradation on persistent staleness.
         if self.stale_ticks > self.report.max_missed_ticks:
             self.report.max_missed_ticks = self.stale_ticks

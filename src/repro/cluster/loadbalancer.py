@@ -67,7 +67,9 @@ class LoadBalancer:
         # arrival and dominated the routing cost as three comprehensions.
         # `best` collects pool-ordered least-loaded candidates, exactly as
         # the equivalent filter-then-min construction would, so the RNG
-        # draw sequence (one draw per routed request) is unchanged.
+        # draw sequence is unchanged. A lone candidate is returned
+        # without a draw: `integers(1)` consumes no generator state, so
+        # skipping it leaves every later draw where it was.
         least = -1
         best: List[ServerSim] = []
         for server in pool:
@@ -82,6 +84,8 @@ class LoadBalancer:
             elif n_active == least:
                 best.append(server)
         if best:
+            if len(best) == 1:
+                return best[0]
             return best[int(self._rng.integers(len(best)))]
         # Buffer fallback. Skip failed servers explicitly: a request
         # buffered on a dead server would vanish from the served/dropped

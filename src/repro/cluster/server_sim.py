@@ -11,7 +11,14 @@ paper's "one-request buffer per server" (Section 6.6) on top.
 Server power is piecewise-constant between events — it changes only on
 request start/finish, phase transitions, and clock changes — which lets
 the simulator maintain row power as a running sum instead of re-evaluating
-every server at every telemetry tick.
+every server at every telemetry tick. Between prompts that power depends
+only on occupancy and the effective clock, so each server keeps those
+values in a small table; a prompt's power depends on its shape and is
+computed each time.
+
+Request timelines come from a process-wide memo keyed by request shape;
+a miss expands through the compiled timeline of the server's model and
+GPU (:func:`~repro.models.inference.compiled_timeline`).
 """
 
 from __future__ import annotations
@@ -22,7 +29,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.specs import A100_80GB, GpuSpec
-from repro.models.inference import InferenceRequest, PhaseSegment, request_timeline
+from repro.models.inference import (
+    PhaseSegment,
+    clear_compiled_timelines,
+    compiled_timeline,
+)
+# Also importable from this module, where callers look it up.
+from repro.models.inference import request_timeline  # noqa: F401
 from repro.models.power_profile import PhasePowerProfile
 from repro.models.registry import LlmSpec, get_model
 from repro.server.dgx import HostPowerModel
@@ -36,13 +49,13 @@ DEFAULT_CONCURRENCY = 4
 _TIMELINE_CACHE_MAX = 1 << 18
 
 # Request timelines depend only on (model, gpu, input_tokens,
-# output_tokens) and their expansion is pure roofline math — the single
-# most expensive piece of starting a request. Sweeps replay the same
-# request trace under many policies/configurations, so memoizing the
-# segments process-wide makes every run after the first skip the roofline
-# work entirely. Keys are object identities with strong references held
-# (so ids cannot be recycled); values are immutable segment tuples shared
-# between runs.
+# output_tokens). Sweeps replay the same request trace under many
+# policies/configurations, so memoizing the segments process-wide makes
+# every run after the first skip even the compiled roofline arithmetic.
+# Keys are object identities with strong references held (so ids cannot
+# be recycled); values are immutable segment tuples shared between runs.
+# A miss goes straight to the compiled timeline of (model, gpu): long
+# traces have a new shape on almost every request.
 _timeline_cache: Dict[Tuple[int, int, int, int], Tuple[PhaseSegment, ...]] = {}
 _timeline_cache_refs: Dict[int, object] = {}
 
@@ -58,18 +71,13 @@ def cached_timeline_segments(
             _timeline_cache.clear()
             # The strong-ref dict exists only to pin ids used as cache
             # keys; once those keys are gone it must be dropped too, or
-            # it grows without bound across huge sweeps.
+            # it grows without bound across huge sweeps. The compiled
+            # timelines pin their objects the same way.
             _timeline_cache_refs.clear()
-        timeline = request_timeline(
-            model,
-            gpu,
-            InferenceRequest(
-                model_name=model.name,
-                input_tokens=input_tokens,
-                output_tokens=output_tokens,
-            ),
+            clear_compiled_timelines()
+        segments = compiled_timeline(model, gpu).segments(
+            input_tokens, output_tokens
         )
-        segments = tuple(timeline.segments)
         _timeline_cache[key] = segments
         _timeline_cache_refs[id(model)] = model
         _timeline_cache_refs[id(gpu)] = gpu
@@ -174,6 +182,9 @@ class ServerSim:
     _profile: PhasePowerProfile = field(init=False, repr=False)
     _next_slot: int = field(init=False, repr=False)
     _token_activity: List[float] = field(init=False, repr=False)
+    _token_power: Dict[Tuple[int, float], float] = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.concurrency <= 0:
@@ -187,6 +198,11 @@ class ServerSim:
             self._profile.token_activity(k)
             for k in range(1, self.concurrency + 1)
         ]
+        # Token-phase (and idle) power by (occupancy, effective ratio):
+        # at most (concurrency + 1) entries per clock ratio the server
+        # runs at. Prompt-phase power depends on the request shape and
+        # is computed each time.
+        self._token_power = {}
 
     # ------------------------------------------------------------------
     # State queries
@@ -223,6 +239,15 @@ class ServerSim:
             and self.buffered is None
         )
 
+    def _prompt_activity(self) -> float:
+        """Highest activity among slots in their prompt phase, else 0.0."""
+        activity = 0.0
+        for active in self.slots.values():
+            segment = active.segments[active.phase_index]
+            if segment.phase == "prompt" and segment.activity > activity:
+                activity = segment.activity
+        return activity
+
     def current_activity(self) -> float:
         """GPU activity right now.
 
@@ -231,25 +256,32 @@ class ServerSim:
         that prompt's activity; otherwise decode activity grows mildly
         with occupancy; an empty server idles.
         """
-        if not self.slots:
-            return 0.0
-        prompt_activity = 0.0
-        for active in self.slots.values():
-            if active.in_prompt:
-                prompt_activity = max(
-                    prompt_activity, active.segments[active.phase_index].activity
-                )
+        prompt_activity = self._prompt_activity()
         if prompt_activity > 0.0:
             return prompt_activity
-        return self._token_activity[min(self.n_active, self.concurrency)]
+        return self._token_activity[min(len(self.slots), self.concurrency)]
 
     def current_power(self) -> float:
-        """Instantaneous server power in watts (zero while crashed)."""
+        """Instantaneous server power in watts (zero while crashed).
+
+        Equal to ``power_model.server_power(current_activity(),
+        effective_ratio)``; the token-phase and idle values come from
+        the per-server table.
+        """
         if self.failed:
             return 0.0
-        return self.power_model.server_power(
-            self.current_activity(), self.effective_ratio
-        )
+        ratio = self.effective_ratio
+        prompt_activity = self._prompt_activity()
+        if prompt_activity > 0.0:
+            return self.power_model.server_power(prompt_activity, ratio)
+        key = (min(len(self.slots), self.concurrency), ratio)
+        power = self._token_power.get(key)
+        if power is None:
+            power = self.power_model.server_power(
+                self._token_activity[key[0]], ratio
+            )
+            self._token_power[key] = power
+        return power
 
     # ------------------------------------------------------------------
     # Request lifecycle

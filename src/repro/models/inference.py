@@ -6,12 +6,25 @@ sequence of :class:`PhaseSegment`\\ s — (duration, activity,
 compute-boundedness) triples — which is the single currency shared by the
 characterization harness (power time series, Figures 6 and 9) and the
 cluster simulator (per-server power and latency under capping).
+
+Both consumers expand through one per-shape path,
+:meth:`CompiledTimeline.segments`. Everything in the expansion that
+depends only on the model, GPU, datatype and tensor-parallel degree —
+delivered FLOP/s and bandwidth, weight and KV-cache bytes, the
+attention coefficient, the activity calibration — is computed once per
+such combination (:func:`compiled_timeline`); a request shape then
+costs a few multiplications. The arithmetic repeats
+:meth:`~repro.models.performance.RooflineLatencyModel.request_latency`
+and :class:`~repro.models.power_profile.PhasePowerProfile` operation
+for operation, so the segments are bit-identical to theirs; those
+classes stay the API for other clock ratios.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.gpu.specs import GpuSpec
@@ -40,12 +53,7 @@ class InferenceRequest:
     dtype: Optional[DType] = None
 
     def __post_init__(self) -> None:
-        if self.input_tokens <= 0:
-            raise ConfigurationError("input_tokens must be positive")
-        if self.output_tokens <= 0:
-            raise ConfigurationError("output_tokens must be positive")
-        if self.batch_size <= 0:
-            raise ConfigurationError("batch_size must be positive")
+        _check_sizes(self.input_tokens, self.output_tokens, self.batch_size)
 
     def with_sizes(
         self,
@@ -113,6 +121,162 @@ class RequestTimeline:
         return weighted / total
 
 
+def _check_sizes(input_tokens: int, output_tokens: int, batch_size: int) -> None:
+    if input_tokens <= 0:
+        raise ConfigurationError("input_tokens must be positive")
+    if output_tokens <= 0:
+        raise ConfigurationError("output_tokens must be positive")
+    if batch_size <= 0:
+        raise ConfigurationError("batch_size must be positive")
+
+
+class CompiledTimeline:
+    """The request-shape-independent part of :func:`request_timeline`.
+
+    Built once per (model, GPU, datatype, tensor-parallel degree) by
+    :func:`compiled_timeline`. The constants come from the
+    :class:`RooflineLatencyModel`, :class:`PhasePowerProfile` and
+    architecture methods themselves, so they carry the same bits.
+    """
+
+    __slots__ = (
+        "spec", "gpu", "dtype", "n_gpus", "_profile", "_flops_error",
+        "_prompt_throughput", "_token_throughput", "_bandwidth",
+        "_weight_bytes", "_kv_bytes_per_token", "_dense_per_token",
+        "_attention_per_token", "_stretch", "_sensitivity",
+        "_prompt_min", "_prompt_span", "_saturation_tokens",
+        "_activity_bonus", "_token_activity",
+    )
+
+    def __init__(
+        self,
+        spec: LlmSpec,
+        gpu: GpuSpec,
+        dtype: Optional[DType] = None,
+        n_gpus: Optional[int] = None,
+    ) -> None:
+        # The table keys on the ids of these three; holding them pins
+        # the ids for as long as the entry lives.
+        self.spec, self.gpu, self.dtype, self.n_gpus = spec, gpu, dtype, n_gpus
+        latency = RooflineLatencyModel(
+            model=spec, gpu=gpu, dtype=dtype, n_gpus=n_gpus
+        )
+        self._profile = PhasePowerProfile(model=spec, dtype=dtype)
+        arch = spec.architecture
+        calibration = spec.calibration
+        effective_dtype = latency.effective_dtype
+        # A GPU without a peak-FLOPs entry for the datatype fails on the
+        # first request, after the size checks, as it always has.
+        self._flops_error: Optional[str] = None
+        try:
+            delivered_flops = latency._delivered_flops()
+        except ConfigurationError as error:
+            self._flops_error = str(error)
+            delivered_flops = math.nan
+        self._prompt_throughput = delivered_flops * calibration.mfu_prompt
+        self._token_throughput = delivered_flops * calibration.mfu_token
+        self._bandwidth = latency._delivered_bandwidth()
+        self._weight_bytes = arch.weight_bytes(effective_dtype)
+        self._kv_bytes_per_token = arch.kv_cache_bytes_per_token(
+            effective_dtype
+        )
+        self._dense_per_token = arch.forward_flops_per_token()
+        self._attention_per_token = 4.0 * arch.n_layers * arch.hidden_size
+        sensitivity = calibration.token_clock_sensitivity
+        # Written as token_latency writes it at clock ratio 1.0: the sum
+        # is not always exactly 1.0.
+        self._stretch = (1.0 - sensitivity) + sensitivity / 1.0
+        self._sensitivity = sensitivity
+        self._prompt_min = calibration.prompt_activity_min
+        self._prompt_span = (
+            calibration.prompt_activity_max - calibration.prompt_activity_min
+        )
+        self._saturation_tokens = calibration.prompt_saturation_tokens
+        self._activity_bonus = effective_dtype.peak_activity_bonus
+        self._token_activity: Dict[int, float] = {}
+
+    def segments(
+        self, input_tokens: int, output_tokens: int, batch_size: int = 1
+    ) -> Tuple[PhaseSegment, PhaseSegment]:
+        """The prompt and token segments of one request shape.
+
+        Raises:
+            ConfigurationError: If a size is not positive, or the GPU
+                has no peak-FLOPs entry for the datatype.
+        """
+        _check_sizes(input_tokens, output_tokens, batch_size)
+        if self._flops_error is not None:
+            raise ConfigurationError(self._flops_error)
+        # RooflineLatencyModel.request_latency at clock ratio 1.0 (the
+        # division by the ratio is exact), operand for operand.
+        prompt_flops = (
+            self._dense_per_token * input_tokens * batch_size
+            + self._attention_per_token * input_tokens * input_tokens
+            * batch_size
+        )
+        context = input_tokens + output_tokens // 2
+        read_time = (
+            self._weight_bytes
+            + self._kv_bytes_per_token * context * batch_size
+        ) / self._bandwidth
+        compute_time = (
+            self._dense_per_token * batch_size
+            + self._attention_per_token * context * batch_size
+        ) / self._token_throughput
+        token_seconds = (
+            max(read_time, compute_time) * self._stretch * output_tokens
+        )
+        # PhasePowerProfile.prompt_activity, operand for operand.
+        tokens = float(input_tokens * batch_size)
+        saturation = 1.0 - math.exp(-tokens / self._saturation_tokens)
+        prompt_activity = self._prompt_min + self._prompt_span * saturation
+        prompt_activity += self._activity_bonus
+        token_activity = self._token_activity.get(batch_size)
+        if token_activity is None:
+            token_activity = self._profile.token_activity(batch_size)
+            self._token_activity[batch_size] = token_activity
+        return (
+            PhaseSegment(
+                "prompt", prompt_flops / self._prompt_throughput,
+                min(1.0, max(0.0, prompt_activity)), 1.0,
+            ),
+            PhaseSegment(
+                "token", token_seconds, token_activity, self._sensitivity
+            ),
+        )
+
+
+#: Entry cap on the compiled-timeline table; real runs use a handful.
+_COMPILED_MAX = 256
+
+# Keyed by the identities of (model, GPU, datatype) plus the
+# tensor-parallel degree; every value holds strong references to its
+# key objects, so ids cannot be recycled while the entry exists.
+_compiled: Dict[Tuple[int, int, int, Optional[int]], CompiledTimeline] = {}
+
+
+def compiled_timeline(
+    spec: LlmSpec,
+    gpu: GpuSpec,
+    dtype: Optional[DType] = None,
+    n_gpus: Optional[int] = None,
+) -> CompiledTimeline:
+    """The shared :class:`CompiledTimeline` for one serving setup."""
+    key = (id(spec), id(gpu), id(dtype), n_gpus)
+    compiled = _compiled.get(key)
+    if compiled is None:
+        if len(_compiled) >= _COMPILED_MAX:
+            _compiled.clear()
+        compiled = CompiledTimeline(spec, gpu, dtype, n_gpus)
+        _compiled[key] = compiled
+    return compiled
+
+
+def clear_compiled_timelines() -> None:
+    """Drop every compiled timeline (and the objects it pins)."""
+    _compiled.clear()
+
+
 def request_timeline(
     spec: LlmSpec,
     gpu: GpuSpec,
@@ -128,27 +292,7 @@ def request_timeline(
         raise ConfigurationError(
             f"request targets {request.model_name!r} but spec is {spec.name!r}"
         )
-    latency = RooflineLatencyModel(
-        model=spec, gpu=gpu, dtype=request.dtype, n_gpus=n_gpus
-    )
-    profile = PhasePowerProfile(model=spec, dtype=request.dtype)
-    phases = latency.request_latency(
+    segments = compiled_timeline(spec, gpu, request.dtype, n_gpus).segments(
         request.input_tokens, request.output_tokens, request.batch_size
     )
-    segments = [
-        PhaseSegment(
-            phase="prompt",
-            duration_seconds=phases.prompt_seconds,
-            activity=profile.prompt_activity(
-                request.input_tokens, request.batch_size
-            ),
-            compute_fraction=1.0,
-        ),
-        PhaseSegment(
-            phase="token",
-            duration_seconds=phases.token_seconds,
-            activity=profile.token_activity(request.batch_size),
-            compute_fraction=spec.calibration.token_clock_sensitivity,
-        ),
-    ]
-    return RequestTimeline(request=request, segments=segments)
+    return RequestTimeline(request=request, segments=list(segments))

@@ -5,12 +5,18 @@ continuous power signal with three properties: a sampling interval, a
 measurement path (in-band or out-of-band), and a noise/staleness profile.
 :class:`SampledInterface` captures that shape once; the concrete interfaces
 (DCGM, IPMI, SMBPBI, row manager) configure it.
+
+:meth:`SampledInterface.read` samples a signal (a function of time);
+:meth:`SampledInterface.observe` takes the value itself, which is how
+the cluster simulator reads its running row power on every telemetry
+tick. Both draw the measurement noise in one place, so the two give the
+same readings from the same noise stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -24,8 +30,8 @@ Signal = Callable[[float], float]
 class TelemetrySample(NamedTuple):
     """One reading from a monitoring interface.
 
-    A named tuple rather than a dataclass: the simulator takes one
-    reading per telemetry tick, and a tuple is far cheaper to build.
+    A named tuple rather than a dataclass: a tuple is far cheaper to
+    build, and series sampling takes one per reading.
 
     Attributes:
         time: When the reading became *available* to the consumer, which is
@@ -60,7 +66,6 @@ class SampledInterface:
     noise_std: float = 0.0
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
-    _sample_index: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         if self.interval <= 0:
@@ -75,11 +80,19 @@ class SampledInterface:
         The returned sample carries the noisy value and its availability
         time (``now + delay``).
         """
-        true_value = float(signal(now))
-        noisy = true_value
+        available_at, value = self.observe(now, float(signal(now)))
+        return TelemetrySample(available_at, value, now)
+
+    def observe(self, now: float, value: float) -> Tuple[float, float]:
+        """Measure ``value``, the signal's level at ``now``.
+
+        Returns ``(available_at, measured)``: the time the reading
+        becomes available (``now + delay``) and the value with this
+        interface's noise applied.
+        """
         if self.noise_std > 0:
-            noisy = true_value * (1.0 + self.noise_std * self._rng.standard_normal())
-        return TelemetrySample(now + self.delay, noisy, now)
+            value = value * (1.0 + self.noise_std * self._rng.standard_normal())
+        return now + self.delay, value
 
     def sample_series(
         self, signal: Signal, start: float, end: float
@@ -94,17 +107,3 @@ class SampledInterface:
         times = sample_times(start, end, self.interval)
         values = np.array([self.read(float(t), signal).value for t in times])
         return TimeSeries(start=start, interval=self.interval, values=values)
-
-    def due_samples(self, until: float) -> List[float]:
-        """Sample times that have become due up to ``until`` (stateful).
-
-        Used by the discrete-event simulator to schedule readings. Sample
-        times are ``index * interval`` from an integer cursor, so long
-        traces accumulate no floating-point drift (a ``+= interval``
-        cursor drifts by one ulp per step).
-        """
-        due: List[float] = []
-        while self._sample_index * self.interval <= until:
-            due.append(self._sample_index * self.interval)
-            self._sample_index += 1
-        return due

@@ -90,6 +90,22 @@ class TestRouting:
         with pytest.raises(ConfigurationError):
             LoadBalancer([], seed=0)
 
+    def test_single_candidate_consumes_no_draw(self):
+        servers = make_servers(n_low=3, n_high=1)
+        request = SampledRequest(0.0, CHAT, Priority.LOW, 1024, 256)
+        servers[0].start_request(0.0, request)
+        servers[1].start_request(0.0, request)
+        balancer = LoadBalancer(servers, seed=3)
+        state = balancer._rng.bit_generator.state
+        assert balancer.route(Priority.LOW) is servers[2]
+        assert balancer._rng.bit_generator.state == state
+        # A tie still draws, so the sequence is the one it always was.
+        assert balancer.route(Priority.HIGH) is servers[3]
+        assert balancer._rng.bit_generator.state == state
+        servers[2].start_request(0.0, request)
+        balancer.route(Priority.LOW)
+        assert balancer._rng.bit_generator.state != state
+
     def test_pool_accessor(self):
         balancer = LoadBalancer(make_servers(3, 2), seed=0)
         assert len(balancer.pool(Priority.LOW)) == 3

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import server_sim
 from repro.cluster.server_sim import ServerPowerModel, ServerSim
 from repro.errors import ConfigurationError, SimulationError
 from repro.workloads.requests import SampledRequest
@@ -165,3 +166,105 @@ class TestBrake:
         free = server.current_power()
         server.apply_brake(0.0, True)
         assert server.current_power() < 0.6 * free
+
+
+class TestPowerTable:
+    """Token-phase power comes from a per-server table; the value must
+    be the closed form's, and the table must not grow with shapes."""
+
+    @staticmethod
+    def assert_power_consistent(server):
+        assert server.current_power() == server.power_model.server_power(
+            server.current_activity(), server.effective_ratio
+        )
+
+    def test_power_matches_closed_form_through_a_lifecycle(self, server):
+        check = self.assert_power_consistent
+        check(server)
+        now = 0.0
+        for step in range(40):
+            now += 0.5
+            if server.has_free_slot:
+                server.start_request(
+                    now, make_request(now, inputs=97 + 61 * step,
+                                      outputs=5 + 7 * step),
+                )
+                check(server)
+            for slot in list(server.slots)[: step % 3]:
+                server.advance_phase(now, slot)
+                check(server)
+            if step % 5 == 0:
+                server.apply_clock(now, (0.787, 0.904, 1.0)[step % 3])
+                check(server)
+            if step % 7 == 3:
+                server.apply_brake(now, not server.braked)
+                check(server)
+        server.fail(now)
+        assert server.current_power() == 0.0
+
+    def test_table_bounded_across_distinct_prompt_shapes(self, server):
+        ratios = (1.0, 0.904, 0.787)
+        for step in range(300):
+            server.apply_clock(float(step), ratios[step % 3])
+            if not server.has_free_slot:
+                for slot in list(server.slots):
+                    server.advance_phase(float(step), slot)
+            server.start_request(
+                float(step), make_request(inputs=64 + 13 * step,
+                                          outputs=3 + step),
+            )
+            server.current_power()
+            for slot in list(server.slots):
+                if server.slots[slot].in_prompt:
+                    server.advance_phase(float(step), slot)
+            self.assert_power_consistent(server)
+        assert 0 < len(server._token_power) <= \
+            (server.concurrency + 1) * len(ratios)
+
+
+class TestTimelineMemo:
+    """A memo miss expands through the compiled timeline; a hit does not
+    expand at all, also in a resumed incremental run."""
+
+    @staticmethod
+    def count_expansions(monkeypatch):
+        calls = []
+        compiled = server_sim.compiled_timeline
+
+        def counted(*args):
+            calls.append(args)
+            return compiled(*args)
+
+        monkeypatch.setattr(server_sim, "compiled_timeline", counted)
+        return calls
+
+    def test_miss_expands_once_then_hits(self, server, monkeypatch):
+        # A shape beyond every trace and property test in the suite.
+        inputs, outputs = 20011, 77
+        calls = self.count_expansions(monkeypatch)
+        first = server_sim.cached_timeline_segments(
+            server.model, server._spec, inputs, outputs
+        )
+        slot = server.start_request(0.0, make_request(0.0, inputs, outputs))
+        assert server.slots[slot].segments is first
+        assert len(calls) == 1
+
+    def test_resume_expands_no_shape(self, monkeypatch):
+        from repro.exec import (
+            IncrementalExecutor, PolicySpec, RunCache, execute_spec,
+        )
+
+        from .test_exec_incremental import POLCA_HIGH, reference_spec
+
+        base_spec = reference_spec("polca-oversubscribed", PolicySpec("POLCA"))
+        variant_spec = reference_spec("polca-oversubscribed", POLCA_HIGH)
+        execute_spec(base_spec)
+        execute_spec(variant_spec)
+        calls = self.count_expansions(monkeypatch)
+        entries = len(server_sim._timeline_cache)
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
+        executor.execute(base_spec)
+        executor.execute(variant_spec)
+        assert executor.stats.resumed_runs == 1
+        assert calls == []
+        assert len(server_sim._timeline_cache) == entries

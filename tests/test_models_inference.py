@@ -1,15 +1,28 @@
 """Inference requests and phase timelines."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.server_sim import cached_timeline_segments
 from repro.errors import ConfigurationError
-from repro.gpu.specs import A100_80GB
+from repro.gpu.specs import A100_40GB, A100_80GB, H100_80GB
+from repro.models.architecture import ArchitectureKind, TransformerArchitecture
+from repro.models.datatypes import FP8, FP16, FP32, INT8, DType
 from repro.models.inference import (
     InferenceRequest,
     PhaseSegment,
+    compiled_timeline,
     request_timeline,
 )
-from repro.models.registry import get_model
+from repro.models.performance import RooflineLatencyModel
+from repro.models.power_profile import PhasePowerProfile
+from repro.models.registry import (
+    MODEL_ZOO,
+    LlmSpec,
+    PowerCalibration,
+    get_model,
+)
 
 
 def bloom_request(**overrides):
@@ -106,3 +119,177 @@ class TestRequestTimeline:
         assert prompt.compute_fraction == 1.0
         assert token.compute_fraction == \
             spec.calibration.token_clock_sensitivity
+
+
+def reference_segments(spec, gpu, request, n_gpus):
+    """The per-request expansion: a latency model and a power profile."""
+    latency = RooflineLatencyModel(
+        model=spec, gpu=gpu, dtype=request.dtype, n_gpus=n_gpus
+    )
+    profile = PhasePowerProfile(model=spec, dtype=request.dtype)
+    phases = latency.request_latency(
+        request.input_tokens, request.output_tokens, request.batch_size
+    )
+    return [
+        PhaseSegment(
+            "prompt", phases.prompt_seconds,
+            profile.prompt_activity(request.input_tokens, request.batch_size),
+            1.0,
+        ),
+        PhaseSegment(
+            "token", phases.token_seconds,
+            profile.token_activity(request.batch_size),
+            spec.calibration.token_clock_sensitivity,
+        ),
+    ]
+
+
+def outcome(expand):
+    """Segments as field tuples, or the ConfigurationError message."""
+    try:
+        return [
+            (seg.phase, seg.duration_seconds, seg.activity,
+             seg.compute_fraction)
+            for seg in expand()
+        ]
+    except ConfigurationError as error:
+        return str(error)
+
+
+GPUS = st.sampled_from([A100_40GB, A100_80GB, H100_80GB])
+DTYPES = st.sampled_from([None, FP16, FP32, FP8, INT8])
+N_GPUS = st.sampled_from([None, 1, 2, 4, 8])
+BATCHES = st.sampled_from([1, 2, 3, 8, 32])
+INPUTS = st.integers(min_value=1, max_value=16384)
+OUTPUTS = st.integers(min_value=1, max_value=4096)
+
+
+def unit(low=0.0, high=1.0):
+    return st.floats(min_value=low, max_value=high, allow_nan=False)
+
+
+@st.composite
+def synthetic_models(draw):
+    """Zoo-shaped models with arbitrary (non-round) constants.
+
+    The zoo's constants are round numbers, for which many reorderings of
+    the arithmetic happen to be exact; these are not. (Products of the
+    integer layer count, hidden size and token counts stay exact in any
+    order below 2**53, so no input tells those orders apart.)
+    """
+    n_heads = draw(st.integers(min_value=1, max_value=64))
+    activity_min = draw(unit(0.0, 0.8))
+    return LlmSpec(
+        name="synthetic",
+        architecture=TransformerArchitecture(
+            kind=ArchitectureKind.DECODER,
+            n_params=draw(unit(1e6, 4e11)),
+            n_layers=draw(st.integers(min_value=1, max_value=128)),
+            hidden_size=n_heads * draw(st.integers(min_value=1, max_value=256)),
+            n_heads=n_heads,
+        ),
+        n_inference_gpus=draw(st.sampled_from([1, 2, 4, 8])),
+        calibration=PowerCalibration(
+            prompt_activity_min=activity_min,
+            prompt_activity_max=draw(unit(activity_min, 1.2)),
+            prompt_saturation_tokens=draw(unit(50.0, 5000.0)),
+            token_activity_base=draw(unit(0.0, 0.8)),
+            token_activity_batch_slope=draw(unit(0.0, 0.1)),
+            token_clock_sensitivity=draw(unit()),
+            mfu_prompt=draw(unit(0.05, 0.9)),
+            mfu_token=draw(unit(0.05, 0.9)),
+        ),
+    )
+
+
+@st.composite
+def synthetic_dtypes(draw):
+    """Datatypes with non-round sizes and efficiencies."""
+    return DType(
+        name=draw(st.sampled_from(["fp32", "fp16", "int8", "fp8"])),
+        bytes_per_param=draw(unit(0.25, 4.0)),
+        kernel_efficiency=draw(unit(0.05, 1.0)),
+        bandwidth_efficiency=draw(unit(0.05, 1.0)),
+        peak_activity_bonus=draw(unit(-0.1, 0.1)),
+    )
+
+
+def assert_parity(spec, gpu, dtype, n_gpus, batch, inputs, outputs):
+    request = InferenceRequest(spec.name, inputs, outputs, batch, dtype)
+    expected = outcome(lambda: reference_segments(spec, gpu, request, n_gpus))
+    assert outcome(
+        lambda: request_timeline(spec, gpu, request, n_gpus).segments
+    ) == expected
+    assert outcome(
+        lambda: compiled_timeline(spec, gpu, dtype, n_gpus).segments(
+            inputs, outputs, batch
+        )
+    ) == expected
+    if dtype is None and n_gpus is None and batch == 1:
+        assert outcome(
+            lambda: cached_timeline_segments(spec, gpu, inputs, outputs)
+        ) == expected
+
+
+class TestCompiledTimelineParity:
+    """The compiled per-shape path is the per-request path, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(sorted(MODEL_ZOO)), GPUS, DTYPES, N_GPUS,
+           BATCHES, INPUTS, OUTPUTS)
+    def test_zoo_segments_equal_reference_field_by_field(
+        self, model_name, gpu, dtype, n_gpus, batch, inputs, outputs
+    ):
+        assert_parity(
+            get_model(model_name), gpu, dtype, n_gpus, batch, inputs, outputs
+        )
+
+    @settings(max_examples=1000, deadline=None)
+    @given(synthetic_models(), GPUS, st.one_of(DTYPES, synthetic_dtypes()),
+           N_GPUS, st.integers(min_value=1, max_value=64), INPUTS, OUTPUTS)
+    def test_synthetic_segments_equal_reference_field_by_field(
+        self, spec, gpu, dtype, n_gpus, batch, inputs, outputs
+    ):
+        assert_parity(spec, gpu, dtype, n_gpus, batch, inputs, outputs)
+
+    @pytest.mark.parametrize("inputs, outputs, batch, message", [
+        (0, 16, 1, "input_tokens must be positive"),
+        (-3, 16, 1, "input_tokens must be positive"),
+        (16, 0, 1, "output_tokens must be positive"),
+        (16, -1, 1, "output_tokens must be positive"),
+        (16, 16, 0, "batch_size must be positive"),
+        (16, 16, -2, "batch_size must be positive"),
+    ])
+    def test_non_positive_sizes_raise_the_same_error(
+        self, inputs, outputs, batch, message
+    ):
+        spec = get_model("BLOOM-176B")
+        with pytest.raises(ConfigurationError) as via_request:
+            request_timeline(spec, A100_80GB, InferenceRequest(
+                spec.name, inputs, outputs, batch
+            ))
+        with pytest.raises(ConfigurationError) as via_compiled:
+            compiled_timeline(spec, A100_80GB).segments(inputs, outputs, batch)
+        assert str(via_request.value) == message
+        assert str(via_compiled.value) == message
+        if batch == 1:
+            with pytest.raises(ConfigurationError) as via_memo:
+                cached_timeline_segments(spec, A100_80GB, inputs, outputs)
+            assert str(via_memo.value) == message
+
+    def test_missing_flops_entry_raises_after_size_checks(self):
+        spec = get_model("BLOOM-176B")
+        compiled = compiled_timeline(spec, A100_80GB, FP8)
+        with pytest.raises(ConfigurationError, match="no peak-FLOPs entry"):
+            compiled.segments(128, 16)
+        with pytest.raises(ConfigurationError, match="input_tokens"):
+            compiled.segments(0, 16)
+
+    def test_one_compiled_timeline_per_setup(self):
+        spec = get_model("OPT-30B")
+        assert compiled_timeline(spec, A100_80GB) is \
+            compiled_timeline(spec, A100_80GB)
+        assert compiled_timeline(spec, A100_80GB, FP16) is not \
+            compiled_timeline(spec, A100_80GB)
+        assert compiled_timeline(spec, A100_80GB, n_gpus=2) is not \
+            compiled_timeline(spec, A100_80GB)

@@ -62,10 +62,20 @@ class TestSampledInterface:
         with pytest.raises(ConfigurationError):
             SampledInterface(name="x", interval=1.0, in_band=True, delay=-1)
 
-    def test_due_samples_stateful(self):
-        iface = SampledInterface(name="x", interval=2.0, in_band=False)
-        assert iface.due_samples(5.0) == [0.0, 2.0, 4.0]
-        assert iface.due_samples(8.0) == [6.0, 8.0]
+    def test_observe_matches_read_on_a_twin(self):
+        def twin():
+            return SampledInterface(name="x", interval=2.0, in_band=False,
+                                    delay=0.75, noise_std=0.05, seed=9)
+
+        observed, sampled = twin(), twin()
+        for step, level in enumerate([310.5, 310.5, 298.25, 0.0, 1234.0]):
+            now = 2.0 * step
+            sample = sampled.read(now, lambda t, level=level: level)
+            assert observed.observe(now, level) == (sample.time, sample.value)
+            assert sample.sampled_at == now
+        assert sample.time == 8.75
+        assert (observed._rng.bit_generator.state
+                == sampled._rng.bit_generator.state)
 
 
 class TestDcgm:
