@@ -94,28 +94,38 @@ def _execute_timed(
     delta across the run, max-RSS high-water mark), so the parent can
     emit ``engine_run`` events and ledger entries without recorders
     having to be picklable into workers. ``job`` is the collector's
-    spool recipe: the recorder chain is built (and its segment file
+    spool recipe: the spool recorder is built (and its segment file
     opened) inside the worker, because file handles do not survive the
     fork boundary.
     """
     _maybe_fail_for_test(spec)
     usage_before = rusage_snapshot()
     start = time.perf_counter()
-    result = _execute_spooled(spec, job)
+    result = _execute_spooled(execute_spec, spec, job)
     wall_s = time.perf_counter() - start
     usage = rusage_delta(usage_before, rusage_snapshot())
     return result, wall_s, os.getpid(), usage
 
 
 def _execute_spooled(
-    spec: RunSpec, job: Optional[TraceJob]
+    execute: Callable[..., SimulationResult],
+    spec: RunSpec,
+    job: Optional[TraceJob],
 ) -> SimulationResult:
-    """Run one spec, spooling its trace when a collector job is given."""
+    """Run one spec, spooling its trace when a collector job is given.
+
+    Every execution path — serial, incremental, pool worker and
+    quarantine — opens and closes its spool recorder here. ``execute``
+    is either :func:`~repro.exec.runspec.execute_spec` or the
+    incremental executor's ``execute``: both accept the same optional
+    ``recorder`` and guarantee the recorded stream matches a cold
+    run's.
+    """
     if job is None:
-        return execute_spec(spec)
+        return execute(spec)
     recorder = job.open()
     try:
-        return execute_spec(spec, recorder=recorder)
+        return execute(spec, recorder=recorder)
     finally:
         recorder.close()
 
@@ -369,8 +379,8 @@ class SweepEngine:
                 # match that answers with it.
                 for done, (digest, spec) in enumerate(pending, start=1):
                     if not (recording or ledgering):
-                        result = self._execute_collected(
-                            execute, digest, spec
+                        result = _execute_spooled(
+                            execute, spec, self._job(digest)
                         )
                         resolved[digest] = result
                         self.cache.put(digest, result)
@@ -387,7 +397,9 @@ class SweepEngine:
                         else None
                     )
                     run_start = time.perf_counter()
-                    result = self._execute_collected(execute, digest, spec)
+                    result = _execute_spooled(
+                        execute, spec, self._job(digest)
+                    )
                     wall_s = time.perf_counter() - run_start
                     resolved[digest] = result
                     self.cache.put(digest, result)
@@ -505,12 +517,7 @@ class SweepEngine:
                 mp_context=context,
             )
             futures = [
-                pool.submit(
-                    _execute_timed,
-                    spec,
-                    self.collector.job(digest)
-                    if self.collector is not None else None,
-                )
+                pool.submit(_execute_timed, spec, self._job(digest))
                 for digest, spec in remaining
             ]
             failure: Optional[str] = None
@@ -569,9 +576,7 @@ class SweepEngine:
                 usage_before = rusage_snapshot() if ledgering else None
                 run_start = time.perf_counter()
                 result = _execute_spooled(
-                    spec,
-                    self.collector.job(digest)
-                    if self.collector is not None else None,
+                    execute_spec, spec, self._job(digest)
                 )
                 wall_s = time.perf_counter() - run_start
                 resolved[digest] = result
@@ -604,26 +609,11 @@ class SweepEngine:
                 })
         return retried, quarantined
 
-    def _execute_collected(
-        self,
-        execute: Callable[..., SimulationResult],
-        digest: str,
-        spec: RunSpec,
-    ) -> SimulationResult:
-        """Serial-path execution, spooling the trace when collecting.
-
-        ``execute`` is either :func:`~repro.exec.runspec.execute_spec`
-        or the incremental executor's ``execute`` — both accept the
-        same optional ``recorder`` and guarantee the recorded stream
-        matches a cold run's.
-        """
+    def _job(self, digest: str) -> Optional[TraceJob]:
+        """The collector's spool recipe for one run, if collecting."""
         if self.collector is None:
-            return execute(spec)
-        recorder = self.collector.job(digest).open()
-        try:
-            return execute(spec, recorder=recorder)
-        finally:
-            recorder.close()
+            return None
+        return self.collector.job(digest)
 
     def _record_run(self, digest: str, wall_s: float, worker: int) -> None:
         """Ledger one executed spec into the trace and the registry."""

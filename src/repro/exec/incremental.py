@@ -51,6 +51,7 @@ from repro.exec import traces
 from repro.exec.cache import RunCache
 from repro.exec.runspec import DIGEST_VERSION, RunSpec, _canonical
 from repro.obs.recorder import MemoryRecorder, TraceRecorder
+from repro.obs.stream import TeeRecorder
 
 #: Bump when the tape/checkpoint blob layout changes incompatibly;
 #: embedded in :func:`family_digest`, so stale blobs become unreachable
@@ -289,18 +290,22 @@ class IncrementalExecutor:
     ) -> SimulationResult:
         """Full run under the tape recorder, checkpointing each epoch.
 
-        When recording, the run spools its events into an internal
-        buffer that becomes the family *event tape*: the full stream,
-        plus — aligned with each checkpoint — the number of events
-        emitted strictly before it and the metrics registry as of it
-        (checkpoint blobs themselves exclude both; see
-        ``SimulationCore.checkpoint``). The caller's recorder gets
-        the spooled stream replayed at the end.
+        When recording, the run tees its events into the caller's
+        recorder and an internal buffer that becomes the family *event
+        tape*: the full stream, plus — aligned with each checkpoint —
+        the number of events emitted strictly before it and the metrics
+        registry as of it (checkpoint blobs themselves exclude both; see
+        ``SimulationCore.checkpoint``). The caller's recorder sees the
+        run live, so its observability lands in the result exactly as
+        on a cold run.
         """
         policy = TapePolicy(spec.policy.build())
         requests = traces.requests_for(spec.trace_key())
-        spool = MemoryRecorder() if recorder is not None else None
-        simulator = ClusterSimulator(spec.config, policy, recorder=spool)
+        spool = None
+        if recorder is not None:
+            spool = MemoryRecorder()
+            recorder = TeeRecorder([spool, recorder])
+        simulator = ClusterSimulator(spec.config, policy, recorder=recorder)
         core = simulator.start(requests, spec.duration_s)
         epochs: List[float] = []
         event_counts: List[int] = []
@@ -335,10 +340,6 @@ class IncrementalExecutor:
             pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL),
         )
         self.stats.base_runs += 1
-        if recorder is not None:
-            for event in spool.events:
-                recorder.emit(event)
-            recorder.finalize(spec.duration_s)
         return result
 
     def _variant_run(

@@ -5,8 +5,9 @@ telemetry series (Figure 16), cap/brake event timelines (Figure 18),
 and the controller's view of both under faults. This package records
 that behaviour from live runs without perturbing them:
 
-* :class:`~repro.obs.recorder.TraceRecorder` sinks — in-memory, JSONL,
-  CSV — receive structured events from hook points threaded through
+* :class:`~repro.obs.recorder.TraceRecorder` sinks — in-memory and
+  JSONL, the latter with an optional deterministic per-kind sample —
+  receive structured events from hook points threaded through
   :class:`~repro.cluster.simulator.ClusterSimulator` (control decisions,
   cap/brake issue→land→verify lifecycles, fallback entry/exit, churn,
   request drops) and :class:`~repro.exec.engine.SweepEngine` (per-run
@@ -94,13 +95,7 @@ from repro.obs.attribution import (
     attribution_table,
     top_victims,
 )
-from repro.obs.collect import (
-    RollupRecorder,
-    SamplingRecorder,
-    TraceCollector,
-    TraceJob,
-    hash_fraction,
-)
+from repro.obs.collect import TraceCollector, TraceJob
 from repro.obs.dashboard import (
     PALETTE,
     Dashboard,
@@ -148,12 +143,12 @@ from repro.obs.regress import (
 )
 from repro.obs.recorder import (
     NULL_RECORDER,
-    CsvRecorder,
     JsonlRecorder,
     MemoryRecorder,
     NullRecorder,
     TraceEvent,
     TraceRecorder,
+    hash_fraction,
     read_jsonl,
 )
 from repro.obs.query import (
@@ -191,7 +186,6 @@ __all__ = [
     "CheckItem",
     "Counter",
     "CrossCheckReport",
-    "CsvRecorder",
     "DEFAULT_POLICIES",
     "Dashboard",
     "Divergence",
@@ -216,8 +210,6 @@ __all__ = [
     "RequestAttribution",
     "RequestSpan",
     "RollingRate",
-    "RollupRecorder",
-    "SamplingRecorder",
     "SloViolationRule",
     "SpanBuilder",
     "StreamMonitor",

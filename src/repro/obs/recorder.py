@@ -12,17 +12,19 @@ contract that makes the layer safe to leave compiled in everywhere:
   every hook point is guarded by that flag, so a run without recording
   never even builds an event payload.
 
-Concrete sinks: :class:`MemoryRecorder` (in-process analysis),
+Concrete sinks: :class:`MemoryRecorder` (in-process analysis) and
 :class:`JsonlRecorder` (one JSON object per line — the interchange
 format :mod:`repro.obs.analyze` and ``examples/trace_inspect.py``
-consume), and :class:`CsvRecorder` (spreadsheet-friendly flat file).
+consume). Both take an optional ``kinds`` filter; the JSONL sink also
+takes a per-kind ``sample`` that bounds recording overhead with a
+deterministic hash selection and an exact drop census.
 """
 
 from __future__ import annotations
 
-import csv
+import hashlib
 import json
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 
@@ -39,6 +41,8 @@ class TraceRecorder:
     """
 
     enabled: bool = True
+    #: Optional kind filter of a sink; ``None`` keeps every kind.
+    kinds: Optional[FrozenSet[str]] = None
 
     def emit(self, event: TraceEvent) -> None:
         """Record one event. Must not mutate ``event`` observably."""
@@ -54,11 +58,10 @@ class TraceRecorder:
         change neither the recorded artifact nor the observability
         snapshot. The answer must be stable for the recorder's
         lifetime: hook points precompute it when the recorder is
-        attached. Sinks with a ``kinds`` filter answer from it;
-        recorders that count what they discard (sampling censuses)
-        must keep answering ``True``.
+        attached. The default answers from the ``kinds`` filter; a
+        sampled kind stays wanted, because its drop census is exact.
         """
-        return self.enabled
+        return self.enabled and (self.kinds is None or kind in self.kinds)
 
     def close(self) -> None:
         """Flush and release any underlying resources (idempotent)."""
@@ -88,7 +91,7 @@ class TraceRecorder:
     def __exit__(self, *exc_info: object) -> None:
         # Runs on exceptions too: a trace recorded up to a mid-run
         # fault is flushed and closed, so the partial artifact stays
-        # valid JSONL/CSV (regression-tested in tests/test_obs.py).
+        # valid JSONL (regression-tested in tests/test_obs.py).
         self.close()
 
 
@@ -110,15 +113,71 @@ class NullRecorder(TraceRecorder):
 NULL_RECORDER = NullRecorder()
 
 
-def _normalize_kinds(
+def normalize_kinds(
     kinds: Optional[Iterable[str]],
 ) -> Optional[FrozenSet[str]]:
+    """Validate a ``kinds`` filter: ``None`` or a non-empty set of names.
+
+    Raises:
+        ConfigurationError: If ``kinds`` is empty or a bare string (which
+            would otherwise filter on its characters).
+    """
     if kinds is None:
         return None
+    if isinstance(kinds, str):
+        raise ConfigurationError(
+            f"kinds must be a collection of kind names, not the string "
+            f"{kinds!r}"
+        )
     normalized = frozenset(kinds)
     if not normalized:
         raise ConfigurationError("kinds filter cannot be empty")
     return normalized
+
+
+def normalize_sample(
+    sample: Optional[Mapping[str, float]],
+) -> Optional[Dict[str, float]]:
+    """Validate per-kind keep rates: ``None`` or rates within ``[0, 1]``.
+
+    Raises:
+        ConfigurationError: If a rate lies outside ``[0, 1]``.
+    """
+    if sample is None:
+        return None
+    rates = {str(kind): float(rate) for kind, rate in sample.items()}
+    for kind, rate in rates.items():
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigurationError(
+                f"sampling rate for {kind!r} must be within [0, 1], "
+                f"got {rate}"
+            )
+    return rates
+
+
+_sha256 = hashlib.sha256
+_from_bytes = int.from_bytes
+
+
+def hash_fraction(event: TraceEvent) -> float:
+    """A deterministic ``[0, 1)`` fraction of an event's identity.
+
+    sha256 over the event's compact identity — its kind plus the
+    fields that make instances of a kind distinct (``t``,
+    ``request_id``, ``server``). No RNG state, no emission-order or
+    key-order dependence, so the keep/drop decision for an event is a
+    pure function of its payload and a sampled trace is an exact
+    subsequence of the full trace. The identity is deliberately small:
+    sampling is applied to the highest-rate kinds, and hashing a short
+    string instead of the full serialized payload keeps the per-event
+    cost within the recording overhead budget.
+    """
+    ident = "%s|%r|%r|%r" % (
+        event.get("kind"), event.get("t"),
+        event.get("request_id"), event.get("server"),
+    )
+    digest = _sha256(ident.encode("utf-8")).digest()
+    return _from_bytes(digest[:8], "big") / 2.0 ** 64
 
 
 class MemoryRecorder(TraceRecorder):
@@ -146,7 +205,7 @@ class MemoryRecorder(TraceRecorder):
                 f"max_events must be positive, got {max_events}"
             )
         self.events: List[TraceEvent] = []
-        self.kinds = _normalize_kinds(kinds)
+        self.kinds = normalize_kinds(kinds)
         self.max_events = max_events
         self.dropped_events = 0
 
@@ -158,9 +217,6 @@ class MemoryRecorder(TraceRecorder):
             self.dropped_events += 1
             return
         self.events.append(event)
-
-    def wants(self, kind: str) -> bool:
-        return self.kinds is None or kind in self.kinds
 
     def observability_snapshot(self) -> Optional[Dict[str, Any]]:
         if self.max_events is None:
@@ -184,22 +240,47 @@ class JsonlRecorder(TraceRecorder):
     :mod:`json` default), so a trace read back by
     :func:`read_jsonl` carries the exact simulated values.
 
+    Each event passes the kind filter first, then the sample: an event
+    of a kept kind whose rate is below 1.0 is written iff
+    :func:`hash_fraction` of it falls below the rate. The written trace
+    is therefore an exact subsequence of the full trace, and the drop
+    census depends only on the kept-kind stream, which every execution
+    path emits identically.
+
     Attributes:
         path: Destination file (truncated on open).
         kinds: Optional kind filter (see :class:`MemoryRecorder`).
+        sample: Optional per-kind keep fraction; kinds not listed are
+            kept in full. When set, the observability snapshot carries
+            a ``trace_sampling`` census.
+        events_written: Events written to the file.
+        dropped_by_kind: Exact count of sampled-out events per kind.
     """
 
     def __init__(
-        self, path: str, kinds: Optional[Iterable[str]] = None
+        self,
+        path: str,
+        kinds: Optional[Iterable[str]] = None,
+        sample: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.path = str(path)
-        self.kinds = _normalize_kinds(kinds)
+        self.kinds = normalize_kinds(kinds)
+        self.sample = normalize_sample(sample)
         self._handle = open(self.path, "w", encoding="utf-8")
         self.events_written = 0
+        self.dropped_by_kind: Dict[str, int] = {}
 
     def emit(self, event: TraceEvent) -> None:
-        if self.kinds is not None and event.get("kind") not in self.kinds:
+        kind = event.get("kind")
+        if self.kinds is not None and kind not in self.kinds:
             return
+        if self.sample is not None:
+            rate = self.sample.get(kind, 1.0)
+            # rate 0.0 drops everything — no need to hash first.
+            if rate < 1.0 and (rate <= 0.0 or hash_fraction(event) >= rate):
+                self.dropped_by_kind[kind] = \
+                    self.dropped_by_kind.get(kind, 0) + 1
+                return
         if self._handle is None:
             raise ConfigurationError(
                 f"JsonlRecorder({self.path!r}) is closed"
@@ -210,61 +291,21 @@ class JsonlRecorder(TraceRecorder):
         self._handle.write(json.dumps(event, sort_keys=True) + "\n")
         self.events_written += 1
 
-    def wants(self, kind: str) -> bool:
-        return self.kinds is None or kind in self.kinds
-
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
 
-
-class CsvRecorder(TraceRecorder):
-    """Writes events as ``t,kind,payload`` CSV rows.
-
-    The payload column holds the remaining event fields as a JSON
-    object, which keeps the schema stable across heterogeneous event
-    kinds while staying loadable in a spreadsheet.
-
-    Attributes:
-        path: Destination file (truncated on open).
-        kinds: Optional kind filter (see :class:`MemoryRecorder`).
-    """
-
-    def __init__(
-        self, path: str, kinds: Optional[Iterable[str]] = None
-    ) -> None:
-        self.path = str(path)
-        self.kinds = _normalize_kinds(kinds)
-        self._handle = open(self.path, "w", encoding="utf-8", newline="")
-        self._writer = csv.writer(self._handle)
-        self._writer.writerow(["t", "kind", "payload"])
-        self.events_written = 0
-
-    def emit(self, event: TraceEvent) -> None:
-        if self.kinds is not None and event.get("kind") not in self.kinds:
-            return
-        if self._handle is None:
-            raise ConfigurationError(f"CsvRecorder({self.path!r}) is closed")
-        payload = {
-            key: value for key, value in event.items()
-            if key not in ("t", "kind")
+    def observability_snapshot(self) -> Optional[Dict[str, Any]]:
+        if self.sample is None:
+            return None
+        return {
+            "trace_sampling": {
+                "kept": self.events_written,
+                "dropped": sum(self.dropped_by_kind.values()),
+                "dropped_by_kind": dict(sorted(self.dropped_by_kind.items())),
+            }
         }
-        self._writer.writerow([
-            event.get("t", ""),
-            event.get("kind", ""),
-            json.dumps(payload, sort_keys=True),
-        ])
-        self.events_written += 1
-
-    def wants(self, kind: str) -> bool:
-        return self.kinds is None or kind in self.kinds
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-            self._writer = None
 
 
 def read_jsonl(path: str) -> List[TraceEvent]:

@@ -20,7 +20,7 @@ second pass:
 that feeds these aggregators from named probes (event kind + field), so
 it can sit directly on the simulator's hook points; :class:`TeeRecorder`
 fans one event stream out to several recorders, composing monitors and
-alert engines with the plain Jsonl/Csv/Memory sinks.
+alert engines with the plain JSONL and memory sinks.
 
 All consumers observe only: attaching them never perturbs the
 simulation (the bit-identical guarantee of :mod:`repro.obs` extends to
@@ -342,7 +342,8 @@ class TeeRecorder(TraceRecorder):
     with a :class:`StreamMonitor` and an alert engine, and hand the tee
     to the simulator. Children whose ``enabled`` is ``False`` are
     skipped entirely; a tee of only disabled children is itself
-    disabled (the simulator's hook guard short-circuits as usual).
+    disabled (the simulator's hook guard short-circuits as usual), and
+    the tee wants a kind iff some active child does.
     """
 
     def __init__(self, children: Sequence[TraceRecorder]) -> None:
@@ -353,6 +354,9 @@ class TeeRecorder(TraceRecorder):
     def emit(self, event: TraceEvent) -> None:
         for child in self._active:
             child.emit(event)
+
+    def wants(self, kind: str) -> bool:
+        return any(child.wants(kind) for child in self._active)
 
     def finalize(self, t_end: float) -> None:
         for child in self._active:

@@ -23,11 +23,11 @@ from repro.exec import SweepEngine, result_from_dict, result_to_dict
 from repro.faults import FaultPlan, ReliabilityConfig, TelemetryFaultSpec
 from repro.obs import (
     NULL_RECORDER,
-    CsvRecorder,
     JsonlRecorder,
     MemoryRecorder,
     MetricsRegistry,
     NullRecorder,
+    TraceCollector,
     aggregate_snapshots,
     read_jsonl,
 )
@@ -206,6 +206,16 @@ class TestRecorderSinks:
         assert len(recorder.events) == 1
         assert recorder.dropped_events == 1
 
+    def test_bare_string_kinds_are_rejected(self, tmp_path):
+        # A str is an iterable of characters: frozenset("serve") would
+        # silently filter on {'s', 'e', 'r', 'v'} and record nothing.
+        with pytest.raises(ConfigurationError, match="kind names"):
+            MemoryRecorder(kinds="serve")
+        with pytest.raises(ConfigurationError, match="kind names"):
+            JsonlRecorder(str(tmp_path / "t.jsonl"), kinds="serve")
+        with pytest.raises(ConfigurationError, match="kind names"):
+            TraceCollector(tmp_path / "traces", kinds="serve")
+
     def test_memory_recorder_rejects_nonpositive_bound(self):
         with pytest.raises(ConfigurationError):
             MemoryRecorder(max_events=0)
@@ -238,18 +248,6 @@ class TestRecorderSinks:
         with pytest.raises(ConfigurationError):
             read_jsonl(str(path))
 
-    def test_csv_recorder_writes_payload_column(self, tmp_path):
-        path = str(tmp_path / "trace.csv")
-        with CsvRecorder(path) as recorder:
-            recorder.emit({"kind": "serve", "t": 1.0, "latency_s": 2.5})
-        lines = open(path).read().strip().splitlines()
-        assert lines[0] == "t,kind,payload"
-        t, kind, payload = lines[1].split(",", 2)
-        assert (t, kind) == ("1.0", "serve")
-        assert json.loads(payload.strip('"').replace('""', '"')) == {
-            "latency_s": 2.5
-        }
-
     def test_jsonl_survives_a_mid_run_fault(self, tmp_path):
         """A trace recorded up to an exception is still valid JSONL."""
         path = str(tmp_path / "faulted.jsonl")
@@ -266,21 +264,6 @@ class TestRecorderSinks:
         events = read_jsonl(path)
         assert [e["kind"] for e in events] == ["serve", "control"]
         assert events[0]["latency_s"] == 2.0
-
-    def test_csv_survives_a_mid_run_fault(self, tmp_path):
-        path = str(tmp_path / "faulted.csv")
-        with pytest.raises(RuntimeError):
-            with CsvRecorder(path) as recorder:
-                recorder.emit({"kind": "serve", "t": 1.0, "latency_s": 2.0})
-                raise RuntimeError("mid-run fault")
-        import csv
-
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
-        assert rows[0] == ["t", "kind", "payload"]
-        assert rows[1][:2] == ["1.0", "serve"]
-        assert json.loads(rows[1][2]) == {"latency_s": 2.0}
-        assert len(rows) == 2  # nothing torn after the fault
 
     def test_simulation_trace_streams_to_jsonl(self, tmp_path):
         path = str(tmp_path / "run.jsonl")

@@ -2,11 +2,14 @@
 
 The acceptance bar: engine-collected segments (serial, pool,
 incremental) equal direct recordings, a resumed incremental run records
-the same stream as a cold run, and sampling keeps a deterministic exact
-subsequence with a census that accounts for every dropped event.
+the same stream — and carries the same observability — as a cold run,
+and the JSONL sink's sample keeps a deterministic exact subsequence
+with a census that accounts for every dropped event.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,11 +25,12 @@ from repro.exec import (
 from repro.exec.cache import RunCache
 from repro.exec.incremental import IncrementalExecutor
 from repro.obs import (
+    AlertEngine,
+    JsonlRecorder,
     MemoryRecorder,
-    RollupRecorder,
-    SamplingRecorder,
     TraceCollector,
     hash_fraction,
+    read_jsonl,
 )
 from repro.units import hours
 
@@ -38,9 +42,33 @@ needs_fork = pytest.mark.skipif(
 )
 
 
+#: The overhead-bounded site config of the recording benchmarks:
+#: low-rate kinds kept in full, ``serve`` hash-sampled at 5%.
+SITE_KINDS = (
+    "brake_cancel_release", "brake_issue", "brake_land", "brake_reissue",
+    "brake_release_request", "brake_request", "brake_verify",
+    "cap_issue", "cap_land", "cap_reissue", "cap_verify",
+    "capacity_status", "drop", "fallback_enter", "fallback_exit",
+    "phase_rescale", "reenergize", "reenergize_done", "run_meta",
+    "serve", "server_fail", "server_recover",
+    "shed_defer", "shed_engage", "shed_release",
+    "telemetry_fault", "trip_risk",
+)
+SITE_SAMPLE = {"serve": 0.05}
+
+
 def lines(events):
     """The byte-comparison canonical form of an event stream."""
     return [json.dumps(event, sort_keys=True) for event in events]
+
+
+def filtered_then_sampled(events, kinds, sample):
+    """The reference selection: kind filter first, then hash sample."""
+    return [
+        event for event in events
+        if (kinds is None or event.get("kind") in kinds)
+        and hash_fraction(event) < sample.get(event.get("kind"), 1.0)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -111,8 +139,44 @@ class TestIncrementalRecording:
         assert lines(recorder.events) == lines(cold_events)
 
 
+class TestIncrementalObservability:
+    """Cold, incremental base and incremental resume runs carry the
+    recorder's observability sections alike."""
+
+    def check_paths(self, open_recorder):
+        base_policy, variant_policy = \
+            REFERENCE_POLICIES["polca-oversubscribed"]
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
+        observed = []
+        for policy in (base_policy, variant_policy):
+            spec = reference_spec("polca-oversubscribed", policy)
+            with open_recorder() as recorder:
+                incremental = executor.execute(spec, recorder=recorder)
+            with open_recorder() as recorder:
+                cold = execute_spec(spec, recorder=recorder)
+            assert incremental.observability == cold.observability
+            observed.append(cold.observability)
+        assert executor.stats.base_runs == 1
+        assert executor.stats.resumed_runs == 1
+        return observed
+
+    def test_alert_engine_sections_on_every_path(self):
+        for observability in self.check_paths(AlertEngine):
+            assert {"alerts", "incidents"} <= set(observability)
+
+    def test_sampled_sink_census_on_every_path(self, tmp_path):
+        collector = TraceCollector(
+            tmp_path / "traces", kinds=SITE_KINDS, sample={"serve": 0.25}
+        )
+        for observability in self.check_paths(
+            lambda: collector.job("run").open()
+        ):
+            census = observability["trace_sampling"]
+            assert census["dropped_by_kind"].keys() == {"serve"}
+
+
 # ----------------------------------------------------------------------
-# Overhead-bounded recording: sampling + rollups
+# Overhead-bounded recording: the JSONL sink's kind filter and sample
 # ----------------------------------------------------------------------
 EVENT_KINDS = ("serve", "control", "phase_start", "drop")
 
@@ -126,10 +190,21 @@ event_strategy = st.fixed_dictionaries({
 })
 
 
+def through_sink(path, events, **sink_options):
+    """Emit ``events`` into a JSONL sink; return it and the file's events."""
+    with JsonlRecorder(str(path), **sink_options) as sink:
+        for event in events:
+            sink.emit(event)
+    return sink, read_jsonl(str(path))
+
+
 class TestSampling:
     @settings(max_examples=50, deadline=None)
     @given(
         events=st.lists(event_strategy, max_size=60),
+        kinds=st.none() | st.frozensets(
+            st.sampled_from(EVENT_KINDS), min_size=1
+        ),
         rates=st.dictionaries(
             st.sampled_from(EVENT_KINDS),
             st.floats(min_value=0.0, max_value=1.0),
@@ -137,111 +212,86 @@ class TestSampling:
         ),
     )
     def test_sampled_is_a_subsequence_with_exact_census(
-        self, events, rates
+        self, events, kinds, rates
     ):
-        inner = MemoryRecorder()
-        recorder = SamplingRecorder(inner, rates=rates)
-        for event in events:
-            recorder.emit(event)
-        sampled = lines(inner.events)
-        full = lines(events)
+        with tempfile.TemporaryDirectory() as scratch:
+            sink, written = through_sink(
+                Path(scratch) / "t.jsonl", events, kinds=kinds, sample=rates
+            )
+        sampled = lines(written)
         # exact subsequence: every kept line appears in order
-        iterator = iter(full)
+        iterator = iter(lines(events))
         assert all(line in iterator for line in sampled)
-        assert recorder.kept == len(inner.events)
-        assert recorder.kept + recorder.dropped == len(events)
-        census = recorder.observability_snapshot()["trace_sampling"]
-        assert census["kept"] == recorder.kept
+        assert sampled == lines(filtered_then_sampled(events, kinds, rates))
+        census = sink.observability_snapshot()["trace_sampling"]
+        assert census["kept"] == sink.events_written == len(written)
+        # the census covers the kept-kind stream alone
+        assert census["kept"] + census["dropped"] == sum(
+            1 for event in events if kinds is None or event["kind"] in kinds
+        )
         assert census["dropped"] == sum(
             census["dropped_by_kind"].values()
         )
 
-    def test_keep_decision_is_a_pure_function_of_the_event(self):
+    def test_keep_decision_is_a_pure_function_of_the_event(self, tmp_path):
         events = [
             {"kind": "serve", "t": float(i), "value": i}
             for i in range(200)
         ]
-        first = MemoryRecorder()
-        a = SamplingRecorder(first, {"serve": 0.5})
-        for event in events:
-            a.emit(event)
-        second = MemoryRecorder()
-        b = SamplingRecorder(second, {"serve": 0.5})
-        for event in reversed(events):
-            b.emit(event)
-        assert sorted(lines(first.events)) == sorted(lines(second.events))
-        assert 0 < len(first.events) < len(events)
+        _, first = through_sink(
+            tmp_path / "a.jsonl", events, sample={"serve": 0.5}
+        )
+        _, second = through_sink(
+            tmp_path / "b.jsonl", events[::-1], sample={"serve": 0.5}
+        )
+        assert sorted(lines(first)) == sorted(lines(second))
+        assert 0 < len(first) < len(events)
 
-    def test_rate_one_keeps_everything(self):
-        inner = MemoryRecorder()
-        recorder = SamplingRecorder(inner)
-        for i in range(50):
-            recorder.emit({"kind": "serve", "t": float(i)})
-        assert len(inner.events) == 50
-        assert recorder.dropped == 0
+    def test_rate_one_keeps_everything(self, tmp_path):
+        events = [{"kind": "serve", "t": float(i)} for i in range(50)]
+        sink, written = through_sink(
+            tmp_path / "t.jsonl", events, sample={"serve": 1.0}
+        )
+        assert len(written) == 50
+        assert sink.dropped_by_kind == {}
 
-    def test_rate_zero_drops_everything_counted(self):
-        inner = MemoryRecorder()
-        recorder = SamplingRecorder(inner, default_rate=0.0)
-        for i in range(50):
-            recorder.emit({"kind": "serve", "t": float(i)})
-        assert inner.events == []
-        assert recorder.dropped_by_kind == {"serve": 50}
+    def test_rate_zero_drops_everything_counted(self, tmp_path):
+        events = [{"kind": "serve", "t": float(i)} for i in range(50)]
+        sink, written = through_sink(
+            tmp_path / "t.jsonl", events, sample={"serve": 0.0}
+        )
+        assert written == []
+        assert sink.dropped_by_kind == {"serve": 50}
+
+    def test_kind_filter_runs_before_the_sample(self, tmp_path):
+        events = [
+            {"kind": kind, "t": float(i)}
+            for i in range(10) for kind in ("serve", "control")
+        ]
+        sink, written = through_sink(
+            tmp_path / "t.jsonl", events,
+            kinds=["serve"], sample={"serve": 0.0, "control": 0.0},
+        )
+        assert written == []
+        # filtered-out kinds are neither wanted nor counted as dropped
+        assert sink.dropped_by_kind == {"serve": 10}
+        assert sink.wants("serve") and not sink.wants("control")
+
+    def test_census_only_when_sampling(self, tmp_path):
+        sink, _ = through_sink(tmp_path / "t.jsonl", [{"kind": "serve"}])
+        assert sink.observability_snapshot() is None
 
     def test_hash_fraction_is_deterministic_and_bounded(self):
         event = {"kind": "serve", "t": 1.25, "server": "s3"}
         assert hash_fraction(event) == hash_fraction(dict(event))
         assert 0.0 <= hash_fraction(event) < 1.0
 
-    def test_invalid_rates_are_rejected(self):
+    def test_invalid_rates_are_rejected(self, tmp_path):
+        path = str(tmp_path / "t.jsonl")
         with pytest.raises(ConfigurationError):
-            SamplingRecorder(MemoryRecorder(), {"serve": 1.5})
+            JsonlRecorder(path, sample={"serve": 1.5})
         with pytest.raises(ConfigurationError):
-            SamplingRecorder(MemoryRecorder(), default_rate=-0.1)
-
-
-class TestRollup:
-    def test_folds_kind_into_epoch_aggregates(self):
-        inner = MemoryRecorder()
-        recorder = RollupRecorder(inner, ("serve",), epoch_s=60.0)
-        recorder.emit({"kind": "serve", "t": 10.0, "latency_s": 2.0})
-        recorder.emit({"kind": "serve", "t": 50.0, "latency_s": 4.0})
-        recorder.emit({"kind": "serve", "t": 70.0, "latency_s": 6.0})
-        recorder.finalize(120.0)
-        rollups = [e for e in inner.events if e["kind"] == "rollup"]
-        assert [r["t"] for r in rollups] == [0.0, 60.0]
-        first = rollups[0]
-        assert first["source"] == "serve" and first["n"] == 2
-        assert first["fields"]["latency_s"] == {
-            "sum": 6.0, "min": 2.0, "max": 4.0,
-        }
-
-    def test_other_kinds_pass_through_in_order(self):
-        inner = MemoryRecorder()
-        recorder = RollupRecorder(inner, ("serve",), epoch_s=60.0)
-        recorder.emit({"kind": "serve", "t": 10.0})
-        recorder.emit({"kind": "control", "t": 30.0})
-        recorder.emit({"kind": "control", "t": 70.0})
-        recorder.finalize(120.0)
-        kinds = [e["kind"] for e in inner.events]
-        assert kinds == ["control", "rollup", "control"]
-
-    def test_census_counts_everything_rolled(self):
-        inner = MemoryRecorder()
-        recorder = RollupRecorder(inner, ("serve", "drop"), epoch_s=30.0)
-        for i in range(7):
-            recorder.emit({"kind": "serve", "t": float(i)})
-        recorder.emit({"kind": "drop", "t": 3.0})
-        recorder.finalize(60.0)
-        census = recorder.observability_snapshot()["trace_rollup"]
-        assert census["rolled_up"] == 8
-        assert census["by_kind"] == {"drop": 1, "serve": 7}
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RollupRecorder(MemoryRecorder(), ())
-        with pytest.raises(ConfigurationError):
-            RollupRecorder(MemoryRecorder(), ("serve",), epoch_s=0.0)
+            JsonlRecorder(path, sample={"serve": -0.1})
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +376,36 @@ class TestEngineCollection:
             assert_results_bit_identical(a, b)
 
     def test_sampled_collection_applies_in_every_segment(self, tmp_path):
+        self.check_collection(tmp_path, "serial", None, {"serve": 0.25})
+
+    @pytest.mark.parametrize("path", [
+        "serial",
+        pytest.param("pool", marks=needs_fork),
+        "incremental",
+    ])
+    @pytest.mark.parametrize("kinds, sample", [
+        (None, {"serve": 0.25}),
+        (SITE_KINDS, SITE_SAMPLE),
+    ], ids=["sample", "site"])
+    def test_filtered_sampled_collection_on_every_path(
+        self, tmp_path, path, kinds, sample
+    ):
+        self.check_collection(tmp_path, path, kinds, sample)
+
+    def check_collection(self, tmp_path, path, kinds, sample):
         specs = self.SPECS()
         collector = TraceCollector(
-            tmp_path / "traces", sample={"serve": 0.25}
+            tmp_path / "traces", kinds=kinds, sample=sample
         )
-        SweepEngine(workers=1, collector=collector).run_specs(specs)
+        SweepEngine(
+            workers=2 if path == "pool" else 1,
+            incremental=path == "incremental",
+            collector=collector,
+        ).run_specs(specs)
         for spec in specs:
             recorder = MemoryRecorder()
             execute_spec(spec, recorder=recorder)
-            expected = [
-                event for event in recorder.events
-                if event.get("kind") != "serve"
-                or hash_fraction(event) < 0.25
-            ]
+            expected = filtered_then_sampled(recorder.events, kinds, sample)
             assert lines(collector.events(spec.digest())) == \
                 lines(expected)
 
@@ -352,8 +419,6 @@ class TestEngineCollection:
             TraceCollector(tmp_path, kinds=())
         with pytest.raises(ConfigurationError):
             TraceCollector(tmp_path, sample={"serve": 2.0})
-        with pytest.raises(ConfigurationError):
-            TraceCollector(tmp_path, rollup_epoch_s=0.0)
 
 
 class TestHarnessCollection:

@@ -298,6 +298,20 @@ class TestTeeRecorder:
         assert TeeRecorder([NullRecorder()]).enabled is False
         assert TeeRecorder([]).enabled is False
 
+    def test_wants_a_kind_iff_an_active_child_does(self):
+        # A tee of kind-filtered sinks lets the simulator skip building
+        # payloads of kinds every child would discard.
+        tee = TeeRecorder([
+            MemoryRecorder(kinds=["serve"]),
+            MemoryRecorder(kinds=["control"]),
+            NullRecorder(),
+        ])
+        assert tee.wants("serve") and tee.wants("control")
+        assert not tee.wants("phase_start")
+        unfiltered = TeeRecorder([MemoryRecorder(kinds=["serve"]),
+                                  AlertEngine()])
+        assert unfiltered.wants("phase_start")
+
     def test_snapshot_merges_dicts_keywise_later_child_wins(self):
         class Fake(MemoryRecorder):
             def __init__(self, snapshot):
