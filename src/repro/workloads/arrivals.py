@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List
 
 import numpy as np
 
@@ -98,6 +98,33 @@ class DiurnalRateProfile:
         return self.base_rate * factor
 
 
+def thin_arrivals(
+    rng: np.random.Generator,
+    rate: Callable[[float], float],
+    lam: float,
+    start: float,
+    end: float,
+) -> List[float]:
+    """Nonhomogeneous Poisson arrivals on ``(start, end)`` by thinning.
+
+    Candidates come from a homogeneous process at the dominating rate
+    ``lam``; each is kept with probability ``rate(t) / lam``. Per
+    candidate the generator draws ``exponential`` and then ``random``;
+    any reorder changes every trace.
+    """
+    exponential = rng.exponential
+    random = rng.random
+    scale = 1.0 / lam
+    arrivals: List[float] = []
+    t = start
+    while True:
+        t += exponential(scale)
+        if t >= end:
+            return arrivals
+        if random() < rate(t) / lam:
+            arrivals.append(t)
+
+
 def generate_arrivals(
     profile: DiurnalRateProfile,
     start: float,
@@ -111,14 +138,7 @@ def generate_arrivals(
     """
     if end <= start:
         raise ConfigurationError("end must be after start")
-    rng = np.random.default_rng(seed)
-    lam = profile.max_rate
-    arrivals: List[float] = []
-    t = start
-    while True:
-        t += float(rng.exponential(1.0 / lam))
-        if t >= end:
-            break
-        if rng.random() < profile.rate(t) / lam:
-            arrivals.append(t)
-    return arrivals
+    return thin_arrivals(
+        np.random.default_rng(seed), profile.rate, profile.max_rate,
+        start, end,
+    )

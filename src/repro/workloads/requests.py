@@ -7,8 +7,9 @@ the request stream the POLCA simulator serves.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +40,14 @@ class SampledRequest:
 class RequestSampler:
     """Draws workloads, priorities, and sizes per Table 6.
 
+    Per request the generator draws, in this order: ``random()`` for the
+    workload, ``random()`` for the priority, then ``integers`` for the
+    prompt and ``integers`` for the output size (a one-value range
+    consumes no draw). The workload draw is what
+    ``Generator.choice(len(mix), p=shares)`` does — one ``random()``
+    looked up in the cdf normalized as ``choice`` normalizes it — without
+    re-validating ``p`` on every call; any reorder changes every trace.
+
     Attributes:
         mix: The workload mix; shares must sum to 1.
         seed: RNG seed.
@@ -47,6 +56,10 @@ class RequestSampler:
     mix: Sequence[WorkloadSpec] = TABLE6_MIX
     seed: int = 0
     _rng: np.random.Generator = field(init=False, repr=False)
+    _cdf: List[float] = field(init=False, repr=False)
+    _rows: List[Tuple[WorkloadSpec, float, int, int, int, int]] = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         total_share = sum(w.share for w in self.mix)
@@ -55,26 +68,37 @@ class RequestSampler:
                 f"workload shares sum to {total_share}, expected 1.0"
             )
         self._rng = np.random.default_rng(self.seed)
+        cdf = np.array([w.share for w in self.mix], dtype=float).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
+        self._rows = [
+            (w, w.high_priority_probability,
+             w.prompt_range[0], w.prompt_range[1] + 1,
+             w.output_range[0], w.output_range[1] + 1)
+            for w in self.mix
+        ]
 
     def sample(self, arrival_time: float) -> SampledRequest:
         """Sample one request arriving at ``arrival_time``."""
-        shares = [w.share for w in self.mix]
-        index = int(self._rng.choice(len(self.mix), p=shares))
-        workload = self.mix[index]
-        is_high = self._rng.random() < workload.high_priority_probability
-        lo_p, hi_p = workload.prompt_range
-        lo_o, hi_o = workload.output_range
-        return SampledRequest(
-            arrival_time=arrival_time,
-            workload=workload,
-            priority=Priority.HIGH if is_high else Priority.LOW,
-            input_tokens=int(self._rng.integers(lo_p, hi_p + 1)),
-            output_tokens=int(self._rng.integers(lo_o, hi_o + 1)),
-        )
+        return self.sample_many((arrival_time,))[0]
 
     def sample_many(self, arrival_times: Sequence[float]) -> List[SampledRequest]:
         """Sample one request per arrival time."""
-        return [self.sample(t) for t in arrival_times]
+        random = self._rng.random
+        integers = self._rng.integers
+        cdf = self._cdf
+        rows = self._rows
+        requests = []
+        for t in arrival_times:
+            workload, p_high, lo_p, hi_p, lo_o, hi_o = rows[
+                bisect_right(cdf, random())
+            ]
+            priority = Priority.HIGH if random() < p_high else Priority.LOW
+            requests.append(SampledRequest(
+                t, workload, priority,
+                int(integers(lo_p, hi_p)), int(integers(lo_o, hi_o)),
+            ))
+        return requests
 
     def expected_priority_split(self) -> float:
         """Expected fraction of high-priority requests (0.5 for Table 6)."""

@@ -34,6 +34,7 @@ from repro.workloads.replay import (
     SessionProfile,
     TraceSource,
 )
+from repro.workloads.tracegen import SyntheticTraceGenerator
 
 FIXTURE = "tests/data/azure_llm_sample.csv"
 
@@ -201,6 +202,33 @@ class TestSyntheticPipelineGoldens:
     def test_request_stream_golden_per_seed(self, seed, expected):
         key = TraceKey(seed=seed, n_servers=8, duration_s=hours(6))
         assert _stream_digest(requests_for(key)) == expected
+
+    @pytest.mark.parametrize("seed,mape,power_sha", [
+        (0, "0.013503284855211191",
+         "51d421c00cf34f04345b2550c5e36c2cd91577720312b781ac8ef41c47b2c0a9"),
+        (1, "0.01188906447880473",
+         "f84d64c8d861f2651f8da15b4672b83fbbd4efe7eb33477c6d216ef271bf26e8"),
+    ])
+    def test_reconstruction_golden_per_seed(self, seed, mape, power_sha):
+        import hashlib
+
+        synthetic = SyntheticTraceGenerator(n_servers=8, seed=seed).generate(
+            _traces.utilization_trace(seed, hours(6))
+        )
+        assert repr(synthetic.mape) == mape
+        assert hashlib.sha256(
+            synthetic.reconstructed_power.values.tobytes()
+        ).hexdigest() == power_sha
+
+    def test_fig13_serial_request_stream_golden(self):
+        # The trace key of the benchmark's fig13_serial workload.
+        requests = requests_for(
+            TraceKey(seed=1, n_servers=14, duration_s=hours(12))
+        )
+        assert len(requests) == 8510
+        assert _stream_digest(requests) == (
+            "75441110533f02a0b9d7402dc82e93a9a978c889fdfdb2fbeb221c80d597cd47"
+        )
 
 
 class TestHarnessIntegration:

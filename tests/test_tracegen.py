@@ -13,7 +13,7 @@ from repro.workloads.tracegen import (
     SyntheticTrace,
     SyntheticTraceGenerator,
     TRACE_WEEKS,
-    _PiecewiseRateProfile,
+    _bin_rate,
     smooth_same,
 )
 
@@ -141,20 +141,16 @@ class TestSmoothSame:
 
 class TestPiecewiseRateProfile:
     def test_rate_clamps_outside_trace_window(self):
-        profile = _PiecewiseRateProfile(
-            bin_starts=np.array([0.0, 10.0, 20.0]),
-            rates=np.array([1.0, 2.0, 3.0]),
-            interval_s=10.0,
-        )
+        rate = _bin_rate([1.0, 2.0, 3.0], start=0.0, interval_s=10.0)
         # Thinning can propose arrival candidates slightly before the
-        # first bin or past the last; the profile must clamp to the
+        # first bin or past the last; the lookup must clamp to the
         # nearest bin instead of indexing out of range.
-        assert profile.rate(-5.0) == 1.0
-        assert profile.rate(-1e9) == 1.0
-        assert profile.rate(25.0) == 3.0
-        assert profile.rate(30.0) == 3.0  # exactly past the last bin
-        assert profile.rate(1e9) == 3.0
-        assert profile.rate(10.0) == 2.0  # interior unaffected
+        assert rate(-5.0) == 1.0
+        assert rate(-1e9) == 1.0
+        assert rate(25.0) == 3.0
+        assert rate(30.0) == 3.0  # exactly past the last bin
+        assert rate(1e9) == 3.0
+        assert rate(10.0) == 2.0  # interior unaffected
 
 
 class TestFluidMeanTokens:

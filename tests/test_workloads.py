@@ -1,12 +1,15 @@
 """Workload mix, arrivals, request sampling, and SLO targets (Table 6)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.units import days
 from repro.workloads.arrivals import DiurnalRateProfile, generate_arrivals
-from repro.workloads.requests import RequestSampler
+from repro.workloads.requests import RequestSampler, SampledRequest
 from repro.workloads.spec import (
     CHAT,
     Priority,
@@ -162,3 +165,106 @@ class TestRequestSampler:
     def test_bad_mix_rejected(self):
         with pytest.raises(ConfigurationError):
             RequestSampler(mix=(SUMMARIZE, SEARCH))  # shares sum to 0.5
+
+
+class _ChoiceOracle:
+    """The request sampler as it drew with ``Generator.choice(p=...)``.
+
+    :class:`RequestSampler` precomputes the cdf that ``choice`` rebuilds
+    on every call; this keeps the per-call body it must match draw for
+    draw.
+    """
+
+    def __init__(self, mix, seed):
+        self.mix = mix
+        self.rng = np.random.default_rng(seed)
+
+    def sample(self, arrival_time):
+        shares = [w.share for w in self.mix]
+        index = int(self.rng.choice(len(self.mix), p=shares))
+        workload = self.mix[index]
+        is_high = self.rng.random() < workload.high_priority_probability
+        lo_p, hi_p = workload.prompt_range
+        lo_o, hi_o = workload.output_range
+        return SampledRequest(
+            arrival_time=arrival_time,
+            workload=workload,
+            priority=Priority.HIGH if is_high else Priority.LOW,
+            input_tokens=int(self.rng.integers(lo_p, hi_p + 1)),
+            output_tokens=int(self.rng.integers(lo_o, hi_o + 1)),
+        )
+
+
+@st.composite
+def token_ranges(draw):
+    lo = draw(st.integers(min_value=1, max_value=10_000))
+    # Width 0 is a one-value range: ``integers`` consumes no draw.
+    width = draw(st.one_of(
+        st.just(0), st.integers(0, 3), st.integers(0, 2 ** 40)
+    ))
+    return (lo, lo + width)
+
+
+@st.composite
+def workload_specs(draw, share):
+    return WorkloadSpec(
+        name=f"w{draw(st.integers(0, 99))}",
+        prompt_range=draw(token_ranges()),
+        output_range=draw(token_ranges()),
+        share=share,
+        high_priority_probability=draw(st.one_of(
+            st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)
+        )),
+    )
+
+
+@st.composite
+def mixes(draw):
+    """1-4 workloads whose shares sum to 1 within 1e-9 (not exactly)."""
+    weights = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=4))
+    shares = [w / sum(weights) for w in weights]
+    # Nudge the last share: the sampler must normalize the cdf the way
+    # ``choice`` does, not assume the shares already sum to 1.
+    shares[-1] = min(1.0, shares[-1] + draw(st.floats(-5e-10, 5e-10)))
+    return tuple(draw(workload_specs(share)) for share in shares)
+
+
+arrival_batches = st.lists(
+    st.one_of(
+        st.floats(0.0, 1e6),  # one ``sample`` call
+        st.lists(st.floats(0.0, 1e6), max_size=20),  # one ``sample_many``
+    ),
+    max_size=12,
+)
+
+
+class TestRequestSamplerMatchesChoice:
+    @settings(max_examples=200, deadline=None)
+    @given(mixes(), st.integers(0, 2 ** 32 - 1), arrival_batches)
+    def test_same_stream_as_choice(self, mix, seed, batches):
+        sampler = RequestSampler(mix=mix, seed=seed)
+        oracle = _ChoiceOracle(mix, seed)
+        for batch in batches:
+            if isinstance(batch, list):
+                got = sampler.sample_many(batch)
+                want = [oracle.sample(t) for t in batch]
+            else:
+                got = [sampler.sample(batch)]
+                want = [oracle.sample(batch)]
+            assert got == want
+        # Both generators end in the same state: no extra or lost draw.
+        assert sampler.sample(0.0) == oracle.sample(0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixes(), st.one_of(
+        st.floats(0.1, 1.0 - 1e-6),  # shares summing below 1
+        st.floats(1.0 + 1e-6, 3.0),  # shares summing above 1
+    ))
+    def test_shares_off_one_rejected(self, mix, total):
+        shares = [w.share * total for w in mix]
+        assume(all(share <= 1.0 for share in shares))
+        scaled = tuple(
+            replace(w, share=share) for w, share in zip(mix, shares)
+        )
+        with pytest.raises(ConfigurationError):
+            RequestSampler(mix=scaled)
