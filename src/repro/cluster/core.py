@@ -48,7 +48,7 @@ from repro.faults.report import OverBudgetTracker, RobustnessReport
 from repro.gpu.specs import A100_80GB, GpuSpec, gpu_spec
 from repro.models.registry import LlmSpec, get_model
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry
-from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+from repro.obs.recorder import NULL_RECORDER
 from repro.powerfail.protection import ProtectionRuntime
 from repro.powerfail.topology import PowerTopology
 from repro.telemetry.base import SampledInterface
@@ -489,26 +489,6 @@ class SimulationCore:
         self._rec_req_arrival = recording and recorder.wants("req_arrival")
         self._rec_serve = recording and recorder.wants("serve")
 
-    def attach_recorder(
-        self, recorder: TraceRecorder, registry: MetricsRegistry
-    ) -> None:
-        """Re-arm recording on a restored checkpoint core.
-
-        Checkpoint blobs deliberately exclude the recorder and the
-        metrics registry (see :meth:`checkpoint`), so restored cores
-        normally replay unrecorded. An incremental resume that wants
-        the full trace replays the prefix events from the family tape
-        into ``recorder`` and then calls this with the registry pickled
-        at the checkpoint: counters and histograms continue from their
-        prefix values, and the suffix emits exactly the events a cold
-        recorded run would.
-        """
-        self.recorder = recorder
-        self.recording = recorder.enabled
-        self._set_kind_gates()
-        self.obs = registry
-        self._cache_metric_handles()
-
     # ------------------------------------------------------------------
     # The checkpoint codec
     # ------------------------------------------------------------------
@@ -518,11 +498,11 @@ class SimulationCore:
         The blob carries the state that changes during a run and
         nothing the restoring side already has: no policy (the resume
         supplies its own), no recorder or metrics registry (restored
-        cores replay unrecorded until :meth:`attach_recorder`), no
-        request objects (trace indices instead), no pre-sorted
-        arrival/tick stream (a count of the entries left), no unfilled
-        tail of ``power_samples``, and no copies of the model or GPU
-        spec (servers are re-created on the canonical ones).
+        cores replay unrecorded), no request objects (trace indices
+        instead), no pre-sorted arrival/tick stream (a count of the
+        entries left), no unfilled tail of ``power_samples``, and no
+        copies of the model or GPU spec (servers are re-created on the
+        canonical ones).
         """
         if not self.request_ids:
             # The map recording builds anyway; checkpoints reuse it.
@@ -553,7 +533,7 @@ class SimulationCore:
         ``requests`` must be the trace the checkpointed run replayed
         (the blob refers to its requests by index); ``policy`` takes
         over control from the restored state on. The core resumes
-        unrecorded; :meth:`attach_recorder` re-arms recording.
+        unrecorded.
         """
         state = _CheckpointUnpickler(io.BytesIO(blob), requests).load()
         core = cls.__new__(cls)

@@ -34,8 +34,6 @@ from repro.models.inference import (
     clear_compiled_timelines,
     compiled_timeline,
 )
-# Also importable from this module, where callers look it up.
-from repro.models.inference import request_timeline  # noqa: F401
 from repro.models.power_profile import PhasePowerProfile
 from repro.models.registry import LlmSpec, get_model
 from repro.server.dgx import HostPowerModel

@@ -67,7 +67,8 @@ def _maybe_fail_for_test(spec: RunSpec) -> None:
     ``REPRO_EXEC_FAIL_ONCE=<sentinel path>`` the failure happens only
     while the sentinel file does not exist (it is created just before
     failing), so the first retry succeeds. Runs only inside pool
-    workers: the quarantine path calls :func:`execute_spec` directly.
+    workers (:func:`_pool_entry`): the quarantine path executes the
+    spec without it.
     """
     seed = os.environ.get("REPRO_EXEC_FAIL_SEED")
     if seed is None or int(seed) != spec.config.seed:
@@ -83,28 +84,42 @@ def _maybe_fail_for_test(spec: RunSpec) -> None:
     os._exit(1)
 
 
-def _execute_timed(
-    spec: RunSpec,
-    job: Optional[TraceJob] = None,
-) -> Tuple[SimulationResult, float, int, Dict[str, float]]:
-    """Worker entry point of the process pool.
+#: What one timed execution returns: the result, its wall time, the
+#: executing process's pid and its ``getrusage`` footprint.
+_Timed = Tuple[SimulationResult, float, int, Dict[str, float]]
 
-    Returns the result plus the per-run wall time, the executing
-    worker's pid, and the worker's ``getrusage`` footprint (CPU-time
-    delta across the run, max-RSS high-water mark), so the parent can
-    emit ``engine_run`` events and ledger entries without recorders
-    having to be picklable into workers. ``job`` is the collector's
-    spool recipe: the spool recorder is built (and its segment file
-    opened) inside the worker, because file handles do not survive the
-    fork boundary.
+
+def _execute_timed(
+    execute: Callable[..., SimulationResult],
+    spec: RunSpec,
+    job: Optional[TraceJob],
+) -> _Timed:
+    """Run one spec and time it: every execution path goes through here.
+
+    Returns the result plus the run's wall time (of
+    :func:`_execute_spooled` alone), the executing process's pid, and
+    its ``getrusage`` footprint (CPU-time delta across the run, max-RSS
+    high-water mark), so the parent can emit ``engine_run`` events and
+    ledger entries for serial, incremental, pool and quarantine runs
+    alike.
     """
-    _maybe_fail_for_test(spec)
     usage_before = rusage_snapshot()
     start = time.perf_counter()
-    result = _execute_spooled(execute_spec, spec, job)
+    result = _execute_spooled(execute, spec, job)
     wall_s = time.perf_counter() - start
     usage = rusage_delta(usage_before, rusage_snapshot())
     return result, wall_s, os.getpid(), usage
+
+
+def _pool_entry(spec: RunSpec, job: Optional[TraceJob]) -> _Timed:
+    """Worker entry point of the process pool.
+
+    ``job`` is the collector's spool recipe: the spool recorder is
+    built (and its segment file opened) inside the worker, because file
+    handles do not survive the fork boundary.
+    """
+    _maybe_fail_for_test(spec)
+    return _execute_timed(execute_spec, spec, job)
 
 
 def _execute_spooled(
@@ -118,8 +133,8 @@ def _execute_spooled(
     quarantine — opens and closes its spool recorder here. ``execute``
     is either :func:`~repro.exec.runspec.execute_spec` or the
     incremental executor's ``execute``: both accept the same optional
-    ``recorder`` and guarantee the recorded stream matches a cold
-    run's.
+    ``recorder``, and the incremental executor runs a recorded spec
+    cold, so the recorded stream is a cold run's.
     """
     if job is None:
         return execute(spec)
@@ -199,12 +214,28 @@ class ExecutionStats:
     incremental_reused: int = 0
     saved_sim_s: float = 0.0
 
-    @property
-    def runs_per_second(self) -> float:
-        """Simulated runs per wall-clock second (0 when nothing ran)."""
-        if self.simulated == 0 or self.wall_s <= 0:
-            return 0.0
-        return self.simulated / self.wall_s
+
+@dataclass
+class _Batch:
+    """The bookkeeping of one :meth:`SweepEngine.run_specs` call.
+
+    Attributes:
+        start: ``perf_counter`` time the batch started.
+        total: Runs the batch executes (its unique cache misses).
+        cache_hits: Specs answered without execution.
+        workers: Pool size (1 = in-process serial).
+        done: Runs settled so far.
+        resolved: Result per digest, cache hits included.
+        run_info: Ledger info per digest.
+    """
+
+    start: float
+    total: int = 0
+    cache_hits: int = 0
+    workers: int = 1
+    done: int = 0
+    resolved: Dict[str, SimulationResult] = field(default_factory=dict)
+    run_info: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
 
 @dataclass
@@ -250,7 +281,8 @@ class SweepEngine:
             full run). Incremental runs execute serially in-parent —
             family checkpoints live in this process's cache — so it
             pays off when prefix reuse beats process fan-out, i.e. on
-            dense controller-parameter grids.
+            dense controller-parameter grids. With a ``collector``
+            every run records, and recorded runs execute cold.
         checkpoint_epoch_s: Simulation-time spacing of the checkpoints
             recorded during each family's first run (incremental mode).
         ledger: Experiment ledger receiving one entry per unique spec
@@ -323,15 +355,13 @@ class SweepEngine:
         Duplicated specs (same content digest) are simulated once; cached
         digests are not simulated at all.
         """
-        start = time.perf_counter()
+        batch = _Batch(start=time.perf_counter())
         recording = self.recorder.enabled
-        ledgering = self.ledger is not None
-        run_info: Dict[str, Dict[str, Any]] = {}
         digests = [spec.digest() for spec in specs]
-        resolved: dict = {}
         pending: List[Tuple[str, RunSpec]] = []
         for digest, spec in zip(digests, specs):
-            if digest in resolved or any(d == digest for d, _ in pending):
+            if digest in batch.resolved \
+                    or any(d == digest for d, _ in pending):
                 continue
             cached = self.cache.get(digest)
             # A memo hit without a spooled segment is re-simulated
@@ -340,18 +370,17 @@ class SweepEngine:
             if cached is not None and (
                 self.collector is None or self.collector.has(digest)
             ):
-                resolved[digest] = cached
+                batch.resolved[digest] = cached
+                batch.run_info[digest] = {"cache_hit": True}
                 if recording:
                     self.recorder.emit({
                         "kind": "engine_cache_hit", "digest": digest,
                     })
-                if ledgering:
-                    run_info[digest] = {"cache_hit": True}
             else:
                 pending.append((digest, spec))
-        workers_used = 1
+        batch.total = len(pending)
+        batch.cache_hits = len(specs) - len(pending)
         retried = quarantined = 0
-        batch_hits = len(specs) - len(pending)
         incremental = self._incremental
         inc_before = (
             (
@@ -369,80 +398,19 @@ class SweepEngine:
                 or n_workers <= 1
                 or not fork_available()
             ):
-                execute = (
-                    incremental.execute
-                    if incremental is not None
-                    else execute_spec
-                )
-                # Each result is stored as soon as it exists: a later
-                # spec of this batch may be an incremental full-tape
-                # match that answers with it.
-                for done, (digest, spec) in enumerate(pending, start=1):
-                    if not (recording or ledgering):
-                        result = _execute_spooled(
-                            execute, spec, self._job(digest)
-                        )
-                        resolved[digest] = result
-                        self.cache.put(digest, result)
-                        continue
-                    usage_before = (
-                        rusage_snapshot() if ledgering else None
-                    )
-                    inc_run_before = (
-                        (
-                            incremental.stats.resumed_runs,
-                            incremental.stats.reused_results,
-                        )
-                        if ledgering and incremental is not None
-                        else None
-                    )
-                    run_start = time.perf_counter()
-                    result = _execute_spooled(
-                        execute, spec, self._job(digest)
-                    )
-                    wall_s = time.perf_counter() - run_start
-                    resolved[digest] = result
-                    self.cache.put(digest, result)
-                    if recording:
-                        self._record_run(digest, wall_s, os.getpid())
-                        self._record_progress(
-                            done, len(pending), batch_hits, start, 1
-                        )
-                    if ledgering:
-                        info: Dict[str, Any] = {
-                            "wall_s": wall_s,
-                            "worker": os.getpid(),
-                            "rusage": rusage_delta(
-                                usage_before, rusage_snapshot()
-                            ),
-                        }
-                        if inc_run_before is not None:
-                            info["incremental_resumed"] = (
-                                incremental.stats.resumed_runs
-                                > inc_run_before[0]
-                            )
-                            info["incremental_reused"] = (
-                                incremental.stats.reused_results
-                                > inc_run_before[1]
-                            )
-                        run_info[digest] = info
+                self._run_serial(pending, batch)
             else:
-                workers_used = n_workers
-                retried, quarantined = self._run_pool(
-                    pending, resolved, n_workers, batch_hits, start,
-                    recording, run_info,
-                )
-                for digest, _ in pending:
-                    self.cache.put(digest, resolved[digest])
+                batch.workers = n_workers
+                retried, quarantined = self._run_pool(pending, batch)
         stats = ExecutionStats(
             requested=len(specs),
             unique=len(set(digests)),
-            cache_hits=len(specs) - len(pending),
+            cache_hits=batch.cache_hits,
             simulated=len(pending),
             retried=retried,
             quarantined=quarantined,
-            workers_used=workers_used,
-            wall_s=time.perf_counter() - start,
+            workers_used=batch.workers,
+            wall_s=time.perf_counter() - batch.start,
         )
         if incremental is not None:
             stats.incremental_resumed = (
@@ -467,7 +435,7 @@ class SweepEngine:
                 "workers": stats.workers_used,
                 "wall_s": stats.wall_s,
             })
-        if ledgering:
+        if self.ledger is not None:
             # One entry per unique digest, in first-occurrence order —
             # duplicates within the batch share their single entry, and
             # retried/quarantined runs appear exactly once (their retry
@@ -478,19 +446,39 @@ class SweepEngine:
                     continue
                 emitted.add(digest)
                 self.ledger.record_run(
-                    spec, resolved[digest], **run_info.get(digest, {})
+                    spec, batch.resolved[digest],
+                    **batch.run_info.get(digest, {}),
                 )
-        return [resolved[digest] for digest in digests]
+        return [batch.resolved[digest] for digest in digests]
+
+    def _run_serial(
+        self, pending: Sequence[Tuple[str, RunSpec]], batch: _Batch
+    ) -> None:
+        """Execute ``pending`` in this process, in order.
+
+        Each result is settled (and cached) as soon as it exists: a
+        later spec of this batch may be an incremental full-tape match
+        that answers with it.
+        """
+        incremental = self._incremental
+        execute = (
+            incremental.execute if incremental is not None else execute_spec
+        )
+        stats = incremental.stats if incremental is not None else None
+        for digest, spec in pending:
+            before = (
+                None if stats is None
+                else (stats.resumed_runs, stats.reused_results)
+            )
+            timed = _execute_timed(execute, spec, self._job(digest))
+            provenance = {} if before is None else {
+                "incremental_resumed": stats.resumed_runs > before[0],
+                "incremental_reused": stats.reused_results > before[1],
+            }
+            self._settle(batch, digest, timed, **provenance)
 
     def _run_pool(
-        self,
-        pending: Sequence[Tuple[str, RunSpec]],
-        resolved: dict,
-        n_workers: int,
-        batch_hits: int,
-        batch_start: float,
-        recording: bool,
-        run_info: Optional[Dict[str, Dict[str, Any]]] = None,
+        self, pending: Sequence[Tuple[str, RunSpec]], batch: _Batch
     ) -> Tuple[int, int]:
         """Fan ``pending`` out over a process pool, surviving workers.
 
@@ -506,27 +494,23 @@ class SweepEngine:
         quarantined)`` counts.
         """
         context = multiprocessing.get_context("fork")
-        ledgering = self.ledger is not None and run_info is not None
         remaining = list(pending)
         attempts: Dict[str, int] = {}
-        total = len(pending)
-        done_count = retried = quarantined = 0
+        retried = quarantined = 0
         while remaining:
             pool = ProcessPoolExecutor(
-                max_workers=min(n_workers, len(remaining)),
+                max_workers=min(batch.workers, len(remaining)),
                 mp_context=context,
             )
             futures = [
-                pool.submit(_execute_timed, spec, self._job(digest))
+                pool.submit(_pool_entry, spec, self._job(digest))
                 for digest, spec in remaining
             ]
             failure: Optional[str] = None
             collected = 0
             for future in futures:
                 try:
-                    result, wall_s, worker, usage = future.result(
-                        timeout=self.run_timeout_s
-                    )
+                    timed = future.result(timeout=self.run_timeout_s)
                 except FuturesTimeoutError:
                     failure = "timeout"
                     break
@@ -534,22 +518,10 @@ class SweepEngine:
                     failure = "crash"
                     break
                 digest, _ = remaining[collected]
-                resolved[digest] = result
                 collected += 1
-                done_count += 1
-                if recording:
-                    self._record_run(digest, wall_s, worker)
-                    self._record_progress(
-                        done_count, total, batch_hits, batch_start,
-                        n_workers,
-                    )
-                if ledgering:
-                    run_info[digest] = {
-                        "wall_s": wall_s,
-                        "worker": worker,
-                        "rusage": usage,
-                        "retries": attempts.get(digest, 0),
-                    }
+                self._settle(
+                    batch, digest, timed, retries=attempts.get(digest, 0)
+                )
             if failure is None:
                 pool.shutdown(wait=True)
                 return retried, quarantined
@@ -573,32 +545,13 @@ class SweepEngine:
             else:
                 action = "quarantine"
                 quarantined += 1
-                usage_before = rusage_snapshot() if ledgering else None
-                run_start = time.perf_counter()
-                result = _execute_spooled(
-                    execute_spec, spec, self._job(digest)
+                timed = _execute_timed(execute_spec, spec, self._job(digest))
+                self._settle(
+                    batch, digest, timed,
+                    retries=attempts[digest] - 1, quarantined=True,
                 )
-                wall_s = time.perf_counter() - run_start
-                resolved[digest] = result
-                done_count += 1
-                if recording:
-                    self._record_run(digest, wall_s, os.getpid())
-                    self._record_progress(
-                        done_count, total, batch_hits, batch_start,
-                        n_workers,
-                    )
-                if ledgering:
-                    run_info[digest] = {
-                        "wall_s": wall_s,
-                        "worker": os.getpid(),
-                        "rusage": rusage_delta(
-                            usage_before, rusage_snapshot()
-                        ),
-                        "retries": attempts[digest] - 1,
-                        "quarantined": True,
-                    }
                 remaining = survivors
-            if recording:
+            if self.recorder.enabled:
                 self.metrics.counter("engine.worker_retries").inc()
                 self.recorder.emit({
                     "kind": "engine_worker_retry",
@@ -608,6 +561,31 @@ class SweepEngine:
                     "action": action,
                 })
         return retried, quarantined
+
+    def _settle(
+        self, batch: _Batch, digest: str, timed: _Timed, **provenance: Any
+    ) -> None:
+        """Store one executed run and account for it.
+
+        Resolves and caches the result, records the ``engine_run`` and
+        ``engine_progress`` events when recording, and builds the run's
+        ledger info (wall time, worker, rusage and ``provenance``
+        flags) when ledgering.
+        """
+        result, wall_s, worker, usage = timed
+        batch.resolved[digest] = result
+        self.cache.put(digest, result)
+        batch.done += 1
+        if self.recorder.enabled:
+            self._record_run(digest, wall_s, worker)
+            self._record_progress(batch)
+        if self.ledger is not None:
+            batch.run_info[digest] = {
+                "wall_s": wall_s,
+                "worker": worker,
+                "rusage": usage,
+                **provenance,
+            }
 
     def _job(self, digest: str) -> Optional[TraceJob]:
         """The collector's spool recipe for one run, if collecting."""
@@ -628,14 +606,7 @@ class SweepEngine:
             "worker": worker,
         })
 
-    def _record_progress(
-        self,
-        done: int,
-        total: int,
-        cache_hits: int,
-        batch_start: float,
-        workers: int,
-    ) -> None:
+    def _record_progress(self, batch: _Batch) -> None:
         """Emit a live ``engine_progress`` event after each completed run.
 
         The ETA extrapolates the batch's observed throughput
@@ -645,18 +616,19 @@ class SweepEngine:
         ``tail -f`` on a JSONL sink) shows runs done, cache hits, and
         time to completion without waiting for the batch to return.
         """
-        elapsed = time.perf_counter() - batch_start
-        remaining = total - done
+        done = batch.done
+        elapsed = time.perf_counter() - batch.start
+        remaining = batch.total - done
         eta_s = (elapsed / done) * remaining if done else float("inf")
         self.metrics.gauge("engine.progress_done").set(done)
         self.recorder.emit({
             "kind": "engine_progress",
             "done": done,
-            "total": total,
-            "cache_hits": cache_hits,
+            "total": batch.total,
+            "cache_hits": batch.cache_hits,
             "elapsed_s": elapsed,
             "eta_s": eta_s,
-            "workers": workers,
+            "workers": batch.workers,
         })
 
     def export_metrics(

@@ -49,22 +49,23 @@ from repro.cluster.simulator import ClusterSimulator
 from repro.errors import ConfigurationError
 from repro.exec import traces
 from repro.exec.cache import RunCache
-from repro.exec.runspec import DIGEST_VERSION, RunSpec, _canonical
-from repro.obs.recorder import MemoryRecorder, TraceRecorder
-from repro.obs.stream import TeeRecorder
+from repro.exec.runspec import (
+    DIGEST_VERSION,
+    RunSpec,
+    _canonical,
+    execute_spec,
+)
+from repro.obs.recorder import TraceRecorder
 
 #: Bump when the tape/checkpoint blob layout changes incompatibly;
 #: embedded in :func:`family_digest`, so stale blobs become unreachable
-#: rather than mis-read. Schema 2: recorded base runs store the family
-#: event tape (the full trace, per-checkpoint event counts, and
-#: pickled metrics registries) so resumed runs can replay the
-#: checkpointed prefix's events and record traces identical to a cold
-#: run's. Schema 3: the pickled event queue holds the arrivals and ticks
-#: in a pre-sorted list beside its heap. Schema 4: checkpoints are
-#: ``SimulationCore.checkpoint`` blobs (trace indices for requests, a
-#: count for the pre-sorted stream, no policy) and the tape stores its
-#: :class:`StepRecord`\ s as plain tuples.
-INCREMENTAL_SCHEMA = 4
+#: rather than mis-read. Schema 3: the pickled event queue holds the
+#: arrivals and ticks in a pre-sorted list beside its heap. Schema 4:
+#: checkpoints are ``SimulationCore.checkpoint`` blobs (trace indices
+#: for requests, a count for the pre-sorted stream, no policy) and the
+#: tape stores its :class:`StepRecord`\ s as plain tuples. Schema 5:
+#: the tape holds no event stream (recorded runs execute cold).
+INCREMENTAL_SCHEMA = 5
 
 
 def family_digest(spec: RunSpec) -> str:
@@ -251,21 +252,22 @@ class IncrementalExecutor:
     ) -> SimulationResult:
         """Run one spec, reusing the family's prefix when possible.
 
-        With an enabled ``recorder``, the run's full trace lands in it
-        — identical to a cold recorded run — regardless of how the
-        result was produced: base runs store their event stream in the
-        family tape, resumed runs replay the checkpointed prefix's
-        events from the tape and record the suffix live (the restored
-        core re-arms via ``attach_recorder``), and full-tape reuses
-        replay the whole tape. Recording never perturbs results.
+        A recorded run (an enabled ``recorder``) runs cold through
+        :func:`~repro.exec.runspec.execute_spec` and counts in
+        ``stats.cold_runs``: its trace and observability are a cold
+        run's by construction, and it neither reads nor writes the
+        family's tape and checkpoints. Unrecorded runs lay down the
+        family tape, resume from a checkpoint, or reuse the base
+        result.
         """
-        if recorder is not None and not recorder.enabled:
-            recorder = None
+        if recorder is not None and recorder.enabled:
+            self.stats.cold_runs += 1
+            return execute_spec(spec, recorder=recorder)
         family = family_digest(spec)
         meta = self._load_tape(family)
         if meta is None:
-            return self._base_run(spec, family, recorder)
-        return self._variant_run(spec, family, meta, recorder)
+            return self._base_run(spec, family)
+        return self._variant_run(spec, family, meta)
 
     # ------------------------------------------------------------------
     def _load_tape(self, family: str) -> Optional[Dict[str, Any]]:
@@ -282,45 +284,20 @@ class IncrementalExecutor:
         meta["records"] = list(map(StepRecord._make, meta["records"]))
         return meta
 
-    def _base_run(
-        self,
-        spec: RunSpec,
-        family: str,
-        recorder: Optional[TraceRecorder] = None,
-    ) -> SimulationResult:
-        """Full run under the tape recorder, checkpointing each epoch.
-
-        When recording, the run tees its events into the caller's
-        recorder and an internal buffer that becomes the family *event
-        tape*: the full stream, plus — aligned with each checkpoint —
-        the number of events emitted strictly before it and the metrics
-        registry as of it (checkpoint blobs themselves exclude both; see
-        ``SimulationCore.checkpoint``). The caller's recorder sees the
-        run live, so its observability lands in the result exactly as
-        on a cold run.
-        """
+    def _base_run(self, spec: RunSpec, family: str) -> SimulationResult:
+        """Full run under the tape recorder, checkpointing each epoch."""
         policy = TapePolicy(spec.policy.build())
         requests = traces.requests_for(spec.trace_key())
-        spool = None
-        if recorder is not None:
-            spool = MemoryRecorder()
-            recorder = TeeRecorder([spool, recorder])
-        simulator = ClusterSimulator(spec.config, policy, recorder=recorder)
-        core = simulator.start(requests, spec.duration_s)
+        core = ClusterSimulator(spec.config, policy).start(
+            requests, spec.duration_s
+        )
         epochs: List[float] = []
-        event_counts: List[int] = []
-        registries: List[bytes] = []
 
         def checkpoint(when: float, live_core: SimulationCore) -> None:
             self.cache.put_blob(
                 f"{family}-ckpt-{len(epochs)}", live_core.checkpoint()
             )
             epochs.append(when)
-            if spool is not None:
-                event_counts.append(len(spool.events))
-                registries.append(pickle.dumps(
-                    live_core.obs, protocol=pickle.HIGHEST_PROTOCOL
-                ))
 
         core.run_all(self.checkpoint_epoch_s, checkpoint)
         result = core.finalize()
@@ -331,9 +308,6 @@ class IncrementalExecutor:
             "records": list(map(tuple, policy.tape)),
             "epochs": epochs,
             "result_digest": spec.digest(),
-            "events": list(spool.events) if spool is not None else None,
-            "event_counts": event_counts if spool is not None else None,
-            "registries": registries if spool is not None else None,
         }
         self.cache.put_blob(
             f"{family}-tape",
@@ -343,19 +317,9 @@ class IncrementalExecutor:
         return result
 
     def _variant_run(
-        self,
-        spec: RunSpec,
-        family: str,
-        meta: Dict[str, Any],
-        recorder: Optional[TraceRecorder] = None,
+        self, spec: RunSpec, family: str, meta: Dict[str, Any]
     ) -> SimulationResult:
         """Resume past the longest matching prefix of the family tape."""
-        if recorder is not None and meta.get("events") is None:
-            # The family's base ran unrecorded, so there is no event
-            # tape to replay a prefix from. Re-record the family from
-            # scratch under this spec's policy — the overwritten tape
-            # serves later recorded variants.
-            return self._base_run(spec, family, recorder)
         records: List[StepRecord] = meta["records"]
         probe = spec.policy.build()
         probe.reset()
@@ -364,13 +328,8 @@ class IncrementalExecutor:
             base = self.cache.get(meta["result_digest"])
             if base is not None:
                 # The policy matches the base run's every answer: the
-                # trajectory (hence the result and its trace) is
-                # identical.
+                # trajectory (hence the result) is identical.
                 self.stats.reused_results += 1
-                if recorder is not None:
-                    for event in meta["events"]:
-                        recorder.emit(event)
-                    recorder.finalize(spec.duration_s)
                 return base
             horizon = None  # full match, result lost: resume at the end
         else:
@@ -387,15 +346,9 @@ class IncrementalExecutor:
         for index, when in reversed(candidates):
             blob = self.cache.get_blob(f"{family}-ckpt-{index}")
             if blob is not None:
-                return self._resume(
-                    spec, records, blob, when, meta, index, recorder
-                )
+                return self._resume(spec, records, blob, when)
         self.stats.cold_runs += 1
-        policy = spec.policy.build()
-        requests = traces.requests_for(spec.trace_key())
-        return ClusterSimulator(
-            spec.config, policy, recorder=recorder
-        ).run(requests, spec.duration_s)
+        return execute_spec(spec)
 
     def _resume(
         self,
@@ -403,9 +356,6 @@ class IncrementalExecutor:
         records: Sequence[StepRecord],
         blob: bytes,
         when: float,
-        meta: Optional[Dict[str, Any]] = None,
-        index: Optional[int] = None,
-        recorder: Optional[TraceRecorder] = None,
     ) -> SimulationResult:
         policy = spec.policy.build()
         policy.reset()
@@ -421,20 +371,6 @@ class IncrementalExecutor:
         core = SimulationCore.restore(
             blob, traces.requests_for(spec.trace_key()), policy
         )
-        if recorder is not None:
-            # The base and this variant are bit-identical up to the
-            # checkpoint (the prefix matched), so the tape's first
-            # ``event_counts[index]`` events are exactly the events the
-            # restored core will not re-emit. Replay them, then re-arm
-            # recording with the registry pickled at the checkpoint —
-            # the suffix continues counters and events exactly where a
-            # cold recorded run would be at this point.
-            assert meta is not None and index is not None
-            for event in meta["events"][:meta["event_counts"][index]]:
-                recorder.emit(event)
-            core.attach_recorder(
-                recorder, pickle.loads(meta["registries"][index])
-            )
         core.run_all()
         self.stats.resumed_runs += 1
         self.stats.saved_s += when

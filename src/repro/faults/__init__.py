@@ -11,11 +11,7 @@ and a :class:`RobustnessReport` ledgers injected vs. detected vs.
 recovered faults plus the row's exact over-budget exposure.
 """
 
-from repro.faults.injector import (
-    FaultInjector,
-    TelemetryFate,
-    summarize_schedule,
-)
+from repro.faults.injector import FaultInjector, TelemetryFate
 from repro.faults.plan import (
     ActuationFaultSpec,
     ChurnSpec,
@@ -37,5 +33,4 @@ __all__ = [
     "ServerChurnEvent",
     "TelemetryFate",
     "TelemetryFaultSpec",
-    "summarize_schedule",
 ]

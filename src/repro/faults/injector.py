@@ -198,18 +198,3 @@ class FaultInjector:
     def dropout_window_count(self) -> int:
         """Number of distinct (merged) dropout windows in the schedule."""
         return len(self.dropout_windows)
-
-    @property
-    def freeze_window_count(self) -> int:
-        """Number of distinct (merged) freeze windows in the schedule."""
-        return len(self.freeze_windows)
-
-
-def summarize_schedule(injector: FaultInjector) -> str:
-    """Human-readable one-line summary of a compiled schedule."""
-    return (
-        f"{injector.dropout_window_count} dropout window(s), "
-        f"{injector.freeze_window_count} freeze window(s), "
-        f"{len(injector.churn_events)} churn event(s) over "
-        f"{injector.duration_s:.0f} s"
-    )

@@ -1,11 +1,11 @@
 """Per-run trace collection: one spooled JSONL segment per run.
 
-Some execution paths — :class:`~repro.exec.engine.SweepEngine` pool
-workers and incremental resumes — run simulations the caller's recorder
-never sees directly: pool workers execute whole runs in forked
-processes, and resumed cores replay from checkpoints that deliberately
-exclude the recorder. This module makes those paths observable without
-changing a single simulated bit:
+:class:`~repro.exec.engine.SweepEngine` pool workers run simulations
+the caller's recorder never sees directly: they execute whole runs in
+forked processes. This module makes every engine path observable
+without changing a single simulated bit (a recorded run under
+``incremental=True`` runs cold, so checkpoints never need a
+recorder):
 
 * **per-run spooling** — every simulated run records into its own
   :class:`~repro.obs.recorder.JsonlRecorder` segment, keyed by the run

@@ -17,9 +17,12 @@ from repro.errors import ConfigurationError
 from repro.workloads.spec import Priority, TABLE6_MIX, WorkloadSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampledRequest:
     """One concrete inference request in the cluster trace.
+
+    Slotted: a long trace holds millions of these, and a per-instance
+    ``__dict__`` would cost about a fifth of the trace's memory.
 
     Attributes:
         arrival_time: Arrival time in seconds from trace start.

@@ -35,7 +35,7 @@ from repro.exec import (
     first_divergence,
     result_to_dict,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, TelemetryFaultSpec
 from repro.powerfail import ProtectionSpec, TripCurve
 from repro.units import hours
 
@@ -166,6 +166,21 @@ class TestIncrementalParity:
             + executor.stats.reused_results
             + executor.stats.cold_runs
         ) == 1
+
+    def test_resume_with_readings_in_flight(self):
+        # Readings arrive 3 s after their 2 s ticks, so every
+        # checkpoint holds a delayed ("obs", value) event in its queue.
+        overrides, _ = REFERENCE_CONFIGS["polca-oversubscribed"]
+        config = ClusterConfig(**overrides, fault_plan=FaultPlan(
+            telemetry=TelemetryFaultSpec(delay_s=3.0)
+        ))
+        base_spec = RunSpec(config, PolicySpec("POLCA"), hours(2))
+        variant_spec = RunSpec(config, POLCA_HIGH, hours(2))
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
+        executor.execute(base_spec)
+        variant = executor.execute(variant_spec)
+        assert executor.stats.resumed_runs == 1
+        assert_results_bit_identical(variant, execute_spec(variant_spec))
 
     def test_full_tape_match_reuses_base_result(self):
         spec = reference_spec("polca-default", PolicySpec("POLCA"))
@@ -324,20 +339,24 @@ class TestCheckpointCodec:
         # Warm the memo with every request shape either run starts.
         execute_spec(base_spec)
         execute_spec(variant_spec)
-        calls = []
-        timeline = server_sim.request_timeline
+        # A memo miss expands through the compiled timeline of the
+        # server's model and GPU: count those expansions.
+        expansions = []
+        compiled = server_sim.compiled_timeline
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return timeline(*args, **kwargs)
+        def counted(*args):
+            expansions.append(args)
+            return compiled(*args)
 
-        monkeypatch.setattr(server_sim, "request_timeline", counted)
+        monkeypatch.setattr(server_sim, "compiled_timeline", counted)
+        entries = len(server_sim._timeline_cache)
         refs = len(server_sim._timeline_cache_refs)
         executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
         executor.execute(base_spec)
         executor.execute(variant_spec)
         assert executor.stats.resumed_runs == 1
-        assert calls == []
+        assert expansions == []
+        assert len(server_sim._timeline_cache) == entries
         assert len(server_sim._timeline_cache_refs) == refs
 
 

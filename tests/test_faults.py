@@ -277,6 +277,37 @@ class TestGracefulDegradation:
         assert result.robustness.fallback_entries >= 1
 
 
+class _Observer(NoCapPolicy):
+    """Never caps; remembers when each reading reached the controller."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def desired_caps(self, utilization, now=0.0):
+        self.seen.append((now, utilization))
+        return super().desired_caps(utilization, now)
+
+
+class TestDelayedTelemetry:
+    @pytest.mark.parametrize("delay_s", [0.5, 2.0, 3.0, 7.25])
+    def test_each_reading_reaches_the_policy_delay_s_late(self, delay_s):
+        # A policy that never acts cannot steer the trajectory, so the
+        # delayed run measures exactly the readings of the prompt run;
+        # each one must reach the controller ``delay_s`` after its tick,
+        # in order, including the ones still in flight at the horizon.
+        requests = make_requests(0.5, 300.0)
+        prompt, late = _Observer(), _Observer()
+        ClusterSimulator(small_config(), prompt).run(requests, 300.0)
+        plan = FaultPlan(telemetry=TelemetryFaultSpec(delay_s=delay_s))
+        ClusterSimulator(small_config(fault_plan=plan), late).run(
+            requests, 300.0
+        )
+        assert len(prompt.seen) == 150
+        assert len({u for _, u in prompt.seen}) > 1
+        assert late.seen == [(now + delay_s, u) for now, u in prompt.seen]
+
+
 # ----------------------------------------------------------------------
 # Silent actuation failure -> verify + re-issue
 # ----------------------------------------------------------------------

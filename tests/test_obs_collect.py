@@ -1,9 +1,9 @@
 """Per-run trace collection (repro.obs.collect).
 
 The acceptance bar: engine-collected segments (serial, pool,
-incremental) equal direct recordings, a resumed incremental run records
-the same stream — and carries the same observability — as a cold run,
-and the JSONL sink's sample keeps a deterministic exact subsequence
+incremental) equal direct recordings, a recorded incremental run
+records the same stream — and carries the same observability — as a
+cold run (it runs cold), and the JSONL sink's sample keeps a deterministic exact subsequence
 with a census that accounts for every dropped event.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, TelemetryFaultSpec
 from repro.exec import (
     PolicySpec,
     RunSpec,
@@ -23,7 +24,7 @@ from repro.exec import (
     fork_available,
 )
 from repro.exec.cache import RunCache
-from repro.exec.incremental import IncrementalExecutor
+from repro.exec.incremental import IncrementalExecutor, family_digest
 from repro.obs import (
     AlertEngine,
     JsonlRecorder,
@@ -92,7 +93,7 @@ class TestIncrementalRecording:
         executor.execute(base_spec, recorder=base_recorder)
         recorder = MemoryRecorder()
         resumed = executor.execute(variant_spec, recorder=recorder)
-        assert executor.stats.resumed_runs == 1
+        assert executor.stats.cold_runs == 2
         cold_result, cold_events = self.cold_trace(variant_spec)
         assert lines(recorder.events) == lines(cold_events)
         assert_results_bit_identical(resumed, cold_result)
@@ -111,8 +112,8 @@ class TestIncrementalRecording:
 
         base_spec = reference_spec("polca-default", PolicySpec("POLCA"))
         # A distinct digest whose controller never decides differently
-        # on this trace: the whole family tape matches, so the result
-        # is reused and the trace must replay from the tape.
+        # on this trace: unrecorded, the whole family tape would match
+        # and the result be reused; recorded, it runs cold.
         variant_spec = reference_spec(
             "polca-default",
             PolicySpec("POLCA", PolcaThresholds(t2=0.90)),
@@ -122,14 +123,13 @@ class TestIncrementalRecording:
         executor.cache.put(base_spec.digest(), base)
         recorder = MemoryRecorder()
         executor.execute(variant_spec, recorder=recorder)
-        assert executor.stats.reused_results == 1
+        assert executor.stats.cold_runs == 2
         _, cold_events = self.cold_trace(base_spec)
         assert lines(recorder.events) == lines(cold_events)
 
     def test_unrecorded_family_is_rerecorded_for_a_recorded_variant(self):
-        # The family tape was laid down without a recorder, so it holds
-        # no events; asking for a recorded variant must not silently
-        # return an empty trace.
+        # The family tape was laid down without a recorder; a recorded
+        # run of the same spec must still record the full cold trace.
         spec = reference_spec("polca-default", PolicySpec("POLCA"))
         executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
         executor.execute(spec)
@@ -137,6 +137,25 @@ class TestIncrementalRecording:
         executor.execute(spec, recorder=recorder)
         _, cold_events = self.cold_trace(spec)
         assert lines(recorder.events) == lines(cold_events)
+
+
+    def test_recorded_run_leaves_the_family_tape_alone(self):
+        base_policy, variant_policy = \
+            REFERENCE_POLICIES["polca-oversubscribed"]
+        base_spec = reference_spec("polca-oversubscribed", base_policy)
+        cache = RunCache()
+        executor = IncrementalExecutor(cache, checkpoint_epoch_s=300.0)
+        executor.execute(base_spec, recorder=MemoryRecorder())
+        assert executor.stats.cold_runs == 1
+        assert cache.get_blob(f"{family_digest(base_spec)}-tape") is None
+        # The first unrecorded run of the family lays the tape down, and
+        # the next one resumes from it.
+        executor.execute(base_spec)
+        executor.execute(
+            reference_spec("polca-oversubscribed", variant_policy)
+        )
+        assert executor.stats.base_runs == 1
+        assert executor.stats.resumed_runs == 1
 
 
 class TestIncrementalObservability:
@@ -156,8 +175,7 @@ class TestIncrementalObservability:
                 cold = execute_spec(spec, recorder=recorder)
             assert incremental.observability == cold.observability
             observed.append(cold.observability)
-        assert executor.stats.base_runs == 1
-        assert executor.stats.resumed_runs == 1
+        assert executor.stats.cold_runs == 2
         return observed
 
     def test_alert_engine_sections_on_every_path(self):
@@ -297,20 +315,28 @@ class TestSampling:
 # ----------------------------------------------------------------------
 # Engine-level collection
 # ----------------------------------------------------------------------
-def tiny_spec(seed, policy="POLCA"):
+def tiny_spec(seed, policy="POLCA", fault_plan=None):
     from repro.cluster.simulator import ClusterConfig
 
     return RunSpec(
-        config=ClusterConfig(n_base_servers=4, seed=seed),
+        config=ClusterConfig(
+            n_base_servers=4, seed=seed, fault_plan=fault_plan
+        ),
         policy=PolicySpec(policy),
         duration_s=hours(1),
     )
 
 
+#: Readings reach the controller 3 s after their 2 s tick, so one is
+#: always in flight.
+DELAYED_PLAN = FaultPlan(telemetry=TelemetryFaultSpec(delay_s=3.0))
+
+
 class TestEngineCollection:
-    SPECS = staticmethod(
-        lambda: [tiny_spec(11), tiny_spec(12, "No-cap")]
-    )
+    SPECS = staticmethod(lambda plan=None: [
+        tiny_spec(11, fault_plan=plan),
+        tiny_spec(12, "No-cap", fault_plan=plan),
+    ])
 
     def reference_traces(self, specs):
         out = {}
@@ -383,17 +409,18 @@ class TestEngineCollection:
         pytest.param("pool", marks=needs_fork),
         "incremental",
     ])
-    @pytest.mark.parametrize("kinds, sample", [
-        (None, {"serve": 0.25}),
-        (SITE_KINDS, SITE_SAMPLE),
-    ], ids=["sample", "site"])
+    @pytest.mark.parametrize("kinds, sample, plan", [
+        (None, {"serve": 0.25}, None),
+        (SITE_KINDS, SITE_SAMPLE, None),
+        (None, {"serve": 0.25}, DELAYED_PLAN),
+    ], ids=["sample", "site", "delayed"])
     def test_filtered_sampled_collection_on_every_path(
-        self, tmp_path, path, kinds, sample
+        self, tmp_path, path, kinds, sample, plan
     ):
-        self.check_collection(tmp_path, path, kinds, sample)
+        self.check_collection(tmp_path, path, kinds, sample, plan)
 
-    def check_collection(self, tmp_path, path, kinds, sample):
-        specs = self.SPECS()
+    def check_collection(self, tmp_path, path, kinds, sample, plan=None):
+        specs = self.SPECS(plan)
         collector = TraceCollector(
             tmp_path / "traces", kinds=kinds, sample=sample
         )

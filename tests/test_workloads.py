@@ -167,6 +167,30 @@ class TestRequestSampler:
             RequestSampler(mix=(SUMMARIZE, SEARCH))  # shares sum to 0.5
 
 
+class TestSampledRequest:
+    def test_slotted_without_instance_dict(self):
+        request = RequestSampler(seed=4).sample(1.5)
+        assert not hasattr(request, "__dict__")
+        with pytest.raises(AttributeError):
+            request.input_tokens = 1  # still frozen
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        requests = RequestSampler(seed=5).sample_many(np.arange(50.0))
+        clones = pickle.loads(
+            pickle.dumps(requests, protocol=pickle.HIGHEST_PROTOCOL)
+        )
+        assert clones == requests
+        assert [hash(r) for r in clones] == [hash(r) for r in requests]
+        # Priorities come back as the enum members themselves.
+        assert all(
+            clone.workload == original.workload
+            and clone.priority is original.priority
+            for clone, original in zip(clones, requests)
+        )
+
+
 class _ChoiceOracle:
     """The request sampler as it drew with ``Generator.choice(p=...)``.
 
