@@ -69,11 +69,9 @@ from repro.obs import (
     SpanBuilder,
     attribute_run,
     attribution_table,
-    brake_timeline,
     cap_timeline,
     cross_check,
     diff_traces,
-    fallback_windows,
     format_divergence,
     load_events,
     render_span_tree,
@@ -100,24 +98,6 @@ def render(events) -> None:
     print("== Trace summary ==")
     for line in summarize_trace(events):
         print(f"  {line}")
-
-    spans = brake_timeline(events)
-    if spans:
-        print("\n== Brake timeline ==")
-        for span in spans:
-            engaged = "never landed" if span.engaged_at is None else \
-                f"engaged {span.engaged_at:8.1f} s"
-            released = "still on" if span.released_at is None else \
-                f"released {span.released_at:8.1f} s"
-            print(f"  [{span.source:>8}] requested {span.requested_at:8.1f} s"
-                  f"  {engaged}  {released}")
-
-    windows = fallback_windows(events)
-    if windows:
-        print("\n== Fallback windows (stale telemetry) ==")
-        for entered, exited in windows:
-            until = "end of trace" if exited is None else f"{exited:.1f} s"
-            print(f"  dark from {entered:.1f} s until {until}")
 
     commands = cap_timeline(events)
     if commands:

@@ -74,7 +74,9 @@ class EvaluationHarness:
             longest checkpoint before their first controller divergence
             instead of re-simulating the shared prefix. Bit-identical
             to the default path; serial in-parent (see
-            :class:`~repro.exec.engine.SweepEngine`).
+            :class:`~repro.exec.engine.SweepEngine`). With a
+            ``collector`` every run records and so runs cold, on the
+            default serial or pool path.
         checkpoint_epoch_s: Checkpoint spacing for incremental sweeps.
         trace_source: Replay source driving every run of this harness
             (``None`` = the default synthetic pipeline). Flows through
@@ -91,8 +93,8 @@ class EvaluationHarness:
             unledgered one.
         collector: Per-run trace spool shared by every sweep on this
             harness (see :class:`~repro.obs.collect.TraceCollector`):
-            each simulated run — serial, incremental, pool-worker or
-            quarantine — writes one JSONL segment keyed by its content
+            each simulated run — serial, pool-worker or quarantine —
+            writes one JSONL segment keyed by its content
             digest, queryable afterwards with
             :mod:`repro.obs.query`. ``None`` (default) spools nothing;
             a collected sweep is bit-identical to an uncollected one.

@@ -23,6 +23,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -39,22 +40,17 @@ from repro.errors import ConfigurationError
 from repro.exec.cache import RunCache
 from repro.exec.runspec import RunSpec, execute_spec
 from repro.obs.collect import TraceCollector, TraceJob
-from repro.obs.export import write_textfile
 from repro.obs.ledger import (
     ExperimentLedger,
     rusage_delta,
     rusage_snapshot,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.recorder import NULL_RECORDER, TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.incremental import IncrementalExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Wall-time histogram buckets for individual simulator runs (seconds).
-RUN_WALL_BUCKETS = (
-    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
-)
 
 
 def _maybe_fail_for_test(spec: RunSpec) -> None:
@@ -99,9 +95,8 @@ def _execute_timed(
     Returns the result plus the run's wall time (of
     :func:`_execute_spooled` alone), the executing process's pid, and
     its ``getrusage`` footprint (CPU-time delta across the run, max-RSS
-    high-water mark), so the parent can emit ``engine_run`` events and
-    ledger entries for serial, incremental, pool and quarantine runs
-    alike.
+    high-water mark), so the parent can write ledger entries for
+    serial, incremental, pool and quarantine runs alike.
     """
     usage_before = rusage_snapshot()
     start = time.perf_counter()
@@ -129,12 +124,11 @@ def _execute_spooled(
 ) -> SimulationResult:
     """Run one spec, spooling its trace when a collector job is given.
 
-    Every execution path — serial, incremental, pool worker and
-    quarantine — opens and closes its spool recorder here. ``execute``
-    is either :func:`~repro.exec.runspec.execute_spec` or the
-    incremental executor's ``execute``: both accept the same optional
-    ``recorder``, and the incremental executor runs a recorded spec
-    cold, so the recorded stream is a cold run's.
+    Every recording path — serial, pool worker and quarantine — opens
+    and closes its spool recorder here. ``execute`` is either
+    :func:`~repro.exec.runspec.execute_spec` or, for unrecorded
+    incremental runs (``job`` is then ``None``), the incremental
+    executor's ``execute``.
     """
     if job is None:
         return execute(spec)
@@ -220,20 +214,12 @@ class _Batch:
     """The bookkeeping of one :meth:`SweepEngine.run_specs` call.
 
     Attributes:
-        start: ``perf_counter`` time the batch started.
-        total: Runs the batch executes (its unique cache misses).
-        cache_hits: Specs answered without execution.
         workers: Pool size (1 = in-process serial).
-        done: Runs settled so far.
         resolved: Result per digest, cache hits included.
         run_info: Ledger info per digest.
     """
 
-    start: float
-    total: int = 0
-    cache_hits: int = 0
     workers: int = 1
-    done: int = 0
     resolved: Dict[str, SimulationResult] = field(default_factory=dict)
     run_info: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
@@ -247,21 +233,6 @@ class SweepEngine:
             forces the serial in-process path.
         cache: The run memo cache (a private in-memory one by default —
             pass a shared instance to memoize across sweeps).
-        recorder: Trace sink for engine-level events (per-run wall time,
-            cache hit/miss, worker pid, digest, batch summaries, and a
-            live ``engine_progress`` feed — runs done, cache hits, ETA
-            — emitted as each run completes). The
-            default :data:`~repro.obs.recorder.NULL_RECORDER` records
-            nothing and adds no overhead. Engine events carry no ``t``
-            key — they are wall-clock, not simulation-time. Recording
-            happens in the parent process only; to trace *inside* a
-            simulation, run :class:`~repro.cluster.simulator
-            .ClusterSimulator` directly with a recorder.
-        metrics: A registry that accumulates across every
-            ``run_specs`` call this engine serves (only populated while
-            ``recorder.enabled``), complementing the per-run
-            ``SimulationResult.observability`` snapshots that
-            :func:`~repro.obs.metrics.aggregate_snapshots` merges.
         run_timeout_s: Per-run wall-clock budget in the pool; a run
             exceeding it counts as a worker failure (its process is
             terminated and the pool rebuilt). ``None`` (default) waits
@@ -282,7 +253,9 @@ class SweepEngine:
             family checkpoints live in this process's cache — so it
             pays off when prefix reuse beats process fan-out, i.e. on
             dense controller-parameter grids. With a ``collector``
-            every run records, and recorded runs execute cold.
+            every run records, and a recorded run is a cold run, so
+            the batch takes the ordinary serial or pool path and
+            touches no checkpoint.
         checkpoint_epoch_s: Simulation-time spacing of the checkpoints
             recorded during each family's first run (incremental mode).
         ledger: Experiment ledger receiving one entry per unique spec
@@ -296,11 +269,10 @@ class SweepEngine:
             exactly once (with their retry counts), cache hits appear
             with ``cache_hit: true`` and zero wall time.
         collector: Per-run *simulation* trace spool
-            (:class:`~repro.obs.collect.TraceCollector`). Where
-            ``recorder`` sees engine-level events in the parent, the
-            collector threads a recorder into every simulated run —
-            serial, incremental, pool-worker and quarantine alike —
-            writing one JSONL segment per run digest. Memo
+            (:class:`~repro.obs.collect.TraceCollector`). The collector
+            threads a recorder into every simulated run — serial,
+            pool-worker and quarantine alike — writing one JSONL
+            segment per run digest. Memo
             cache hits are honored only when the collector already
             holds that digest's segment; otherwise the run is
             re-simulated (bit-identical by determinism) so the trace
@@ -309,10 +281,6 @@ class SweepEngine:
 
     workers: Optional[int] = None
     cache: RunCache = field(default_factory=RunCache)
-    recorder: TraceRecorder = NULL_RECORDER
-    metrics: MetricsRegistry = field(
-        default_factory=MetricsRegistry, repr=False
-    )
     run_timeout_s: Optional[float] = None
     retries: int = 1
     incremental: bool = False
@@ -355,8 +323,8 @@ class SweepEngine:
         Duplicated specs (same content digest) are simulated once; cached
         digests are not simulated at all.
         """
-        batch = _Batch(start=time.perf_counter())
-        recording = self.recorder.enabled
+        start = time.perf_counter()
+        batch = _Batch()
         digests = [spec.digest() for spec in specs]
         pending: List[Tuple[str, RunSpec]] = []
         for digest, spec in zip(digests, specs):
@@ -372,16 +340,12 @@ class SweepEngine:
             ):
                 batch.resolved[digest] = cached
                 batch.run_info[digest] = {"cache_hit": True}
-                if recording:
-                    self.recorder.emit({
-                        "kind": "engine_cache_hit", "digest": digest,
-                    })
             else:
                 pending.append((digest, spec))
-        batch.total = len(pending)
-        batch.cache_hits = len(specs) - len(pending)
         retried = quarantined = 0
-        incremental = self._incremental
+        # Every collected run records, and a recorded run is cold, so a
+        # collecting engine never goes through the incremental executor.
+        incremental = self._incremental if self.collector is None else None
         inc_before = (
             (
                 incremental.stats.resumed_runs,
@@ -398,19 +362,19 @@ class SweepEngine:
                 or n_workers <= 1
                 or not fork_available()
             ):
-                self._run_serial(pending, batch)
+                self._run_serial(pending, batch, incremental)
             else:
                 batch.workers = n_workers
                 retried, quarantined = self._run_pool(pending, batch)
         stats = ExecutionStats(
             requested=len(specs),
             unique=len(set(digests)),
-            cache_hits=batch.cache_hits,
+            cache_hits=len(specs) - len(pending),
             simulated=len(pending),
             retried=retried,
             quarantined=quarantined,
             workers_used=batch.workers,
-            wall_s=time.perf_counter() - batch.start,
+            wall_s=time.perf_counter() - start,
         )
         if incremental is not None:
             stats.incremental_resumed = (
@@ -421,20 +385,6 @@ class SweepEngine:
             )
             stats.saved_sim_s = incremental.stats.saved_s - inc_before[2]
         self.last_stats = stats
-        if recording:
-            registry = self.metrics
-            registry.counter("engine.batches").inc()
-            registry.counter("engine.requested").inc(stats.requested)
-            registry.counter("engine.cache_hits").inc(stats.cache_hits)
-            self.recorder.emit({
-                "kind": "engine_batch",
-                "requested": stats.requested,
-                "unique": stats.unique,
-                "cache_hits": stats.cache_hits,
-                "simulated": stats.simulated,
-                "workers": stats.workers_used,
-                "wall_s": stats.wall_s,
-            })
         if self.ledger is not None:
             # One entry per unique digest, in first-occurrence order —
             # duplicates within the batch share their single entry, and
@@ -452,7 +402,10 @@ class SweepEngine:
         return [batch.resolved[digest] for digest in digests]
 
     def _run_serial(
-        self, pending: Sequence[Tuple[str, RunSpec]], batch: _Batch
+        self,
+        pending: Sequence[Tuple[str, RunSpec]],
+        batch: _Batch,
+        incremental: Optional[IncrementalExecutor],
     ) -> None:
         """Execute ``pending`` in this process, in order.
 
@@ -460,7 +413,6 @@ class SweepEngine:
         later spec of this batch may be an incremental full-tape match
         that answers with it.
         """
-        incremental = self._incremental
         execute = (
             incremental.execute if incremental is not None else execute_spec
         )
@@ -506,23 +458,20 @@ class SweepEngine:
                 pool.submit(_pool_entry, spec, self._job(digest))
                 for digest, spec in remaining
             ]
-            failure: Optional[str] = None
+            failed = False
             collected = 0
             for future in futures:
                 try:
                     timed = future.result(timeout=self.run_timeout_s)
-                except FuturesTimeoutError:
-                    failure = "timeout"
-                    break
-                except BrokenProcessPool:
-                    failure = "crash"
+                except (FuturesTimeoutError, BrokenProcessPool):
+                    failed = True
                     break
                 digest, _ = remaining[collected]
                 collected += 1
                 self._settle(
                     batch, digest, timed, retries=attempts.get(digest, 0)
                 )
-            if failure is None:
+            if not failed:
                 pool.shutdown(wait=True)
                 return retried, quarantined
             # Tear the pool down hard: cancel queued futures and
@@ -539,11 +488,9 @@ class SweepEngine:
             # resubmitting them is safe because runs are deterministic.
             survivors = remaining[collected + 1:]
             if attempts[digest] <= self.retries:
-                action = "retry"
                 retried += 1
                 remaining = [(digest, spec)] + survivors
             else:
-                action = "quarantine"
                 quarantined += 1
                 timed = _execute_timed(execute_spec, spec, self._job(digest))
                 self._settle(
@@ -551,15 +498,6 @@ class SweepEngine:
                     retries=attempts[digest] - 1, quarantined=True,
                 )
                 remaining = survivors
-            if self.recorder.enabled:
-                self.metrics.counter("engine.worker_retries").inc()
-                self.recorder.emit({
-                    "kind": "engine_worker_retry",
-                    "digest": digest,
-                    "attempts": attempts[digest],
-                    "reason": failure,
-                    "action": action,
-                })
         return retried, quarantined
 
     def _settle(
@@ -567,18 +505,13 @@ class SweepEngine:
     ) -> None:
         """Store one executed run and account for it.
 
-        Resolves and caches the result, records the ``engine_run`` and
-        ``engine_progress`` events when recording, and builds the run's
-        ledger info (wall time, worker, rusage and ``provenance``
-        flags) when ledgering.
+        Resolves and caches the result and, when ledgering, builds the
+        run's ledger info (wall time, worker, rusage and ``provenance``
+        flags).
         """
         result, wall_s, worker, usage = timed
         batch.resolved[digest] = result
         self.cache.put(digest, result)
-        batch.done += 1
-        if self.recorder.enabled:
-            self._record_run(digest, wall_s, worker)
-            self._record_progress(batch)
         if self.ledger is not None:
             batch.run_info[digest] = {
                 "wall_s": wall_s,
@@ -592,61 +525,3 @@ class SweepEngine:
         if self.collector is None:
             return None
         return self.collector.job(digest)
-
-    def _record_run(self, digest: str, wall_s: float, worker: int) -> None:
-        """Ledger one executed spec into the trace and the registry."""
-        self.metrics.counter("engine.simulated").inc()
-        self.metrics.histogram(
-            "engine.run_wall_s", RUN_WALL_BUCKETS
-        ).observe(wall_s)
-        self.recorder.emit({
-            "kind": "engine_run",
-            "digest": digest,
-            "wall_s": wall_s,
-            "worker": worker,
-        })
-
-    def _record_progress(self, batch: _Batch) -> None:
-        """Emit a live ``engine_progress`` event after each completed run.
-
-        The ETA extrapolates the batch's observed throughput
-        (completed runs over elapsed wall time — worker parallelism is
-        therefore already priced in) to the remaining runs. Long sweeps
-        stream these while still executing; a dashboard (or plain
-        ``tail -f`` on a JSONL sink) shows runs done, cache hits, and
-        time to completion without waiting for the batch to return.
-        """
-        done = batch.done
-        elapsed = time.perf_counter() - batch.start
-        remaining = batch.total - done
-        eta_s = (elapsed / done) * remaining if done else float("inf")
-        self.metrics.gauge("engine.progress_done").set(done)
-        self.recorder.emit({
-            "kind": "engine_progress",
-            "done": done,
-            "total": batch.total,
-            "cache_hits": batch.cache_hits,
-            "elapsed_s": elapsed,
-            "eta_s": eta_s,
-            "workers": batch.workers,
-        })
-
-    def export_metrics(
-        self,
-        path: str,
-        labels: Optional[dict] = None,
-    ) -> str:
-        """Write this engine's metrics as an OpenMetrics textfile.
-
-        Renders the accumulated registry (batches, cache hits, per-run
-        wall-time histogram, progress) through
-        :func:`repro.obs.export.write_textfile`; returns the rendered
-        text. The registry only accumulates while the engine's recorder
-        is enabled, so pair this with any recorder (a
-        :class:`~repro.obs.recorder.MemoryRecorder` suffices) for a
-        populated export at the end of a long sweep.
-        """
-        return write_textfile(
-            path, self.metrics.snapshot(), prefix="repro_engine",
-            labels=labels,
-        )

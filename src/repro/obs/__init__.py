@@ -1,4 +1,4 @@
-"""repro.obs — observability for the simulator and the sweep engine.
+"""repro.obs — observability for the simulator and its sweeps.
 
 The paper's argument is made of *visible* power behaviour: per-row
 telemetry series (Figure 16), cap/brake event timelines (Figure 18),
@@ -10,8 +10,8 @@ that behaviour from live runs without perturbing them:
   receive structured events from hook points threaded through
   :class:`~repro.cluster.simulator.ClusterSimulator` (control decisions,
   cap/brake issue→land→verify lifecycles, fallback entry/exit, churn,
-  request drops) and :class:`~repro.exec.engine.SweepEngine` (per-run
-  wall time, cache hits, worker ids, digests). The default
+  request drops), every one stamped with its simulation time ``t``. The
+  default
   :data:`~repro.obs.recorder.NULL_RECORDER` reports ``enabled = False``
   and every hook is guarded by that flag, so an uninstrumented run is
   bit-identical to the pre-observability simulator;

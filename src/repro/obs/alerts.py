@@ -498,7 +498,7 @@ class AlertEngine(TraceRecorder):
     def emit(self, event: TraceEvent) -> None:
         t = event.get("t")
         if t is None:
-            return  # engine (wall-clock) events carry no simulation time
+            return  # foreign events without a simulation time
         t = float(t)
         self._last_t = t
         for state in self._states:

@@ -55,8 +55,8 @@ def load_events(source: Any) -> List[TraceEvent]:
 
     Accepts a JSONL path, a :class:`~repro.obs.recorder.MemoryRecorder`,
     or an already-loaded event sequence. Events are returned sorted by
-    ``t`` (stable, so same-time events keep emission order; engine
-    events without ``t`` sort first).
+    ``t`` (stable, so same-time events keep emission order; events
+    without ``t``, which only foreign JSONL carries, sort first).
     """
     if isinstance(source, str):
         events: Sequence[TraceEvent] = read_jsonl(source)

@@ -17,8 +17,9 @@ format:
   any Prometheus-compatible scraper.
 
 :func:`render_openmetrics` is pure; :func:`write_textfile` is the
-node-exporter-textfile-style convenience. The sweep engine exposes
-both through :meth:`~repro.exec.engine.SweepEngine.export_metrics`.
+node-exporter-textfile-style convenience (pass it
+:func:`~repro.obs.metrics.aggregate_snapshots` of a sweep's results for
+a sweep-wide export).
 
 :func:`render_chrome_trace` renders a recorded run in the Chrome
 trace-event JSON format (the format Perfetto and ``chrome://tracing``

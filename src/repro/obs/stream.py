@@ -228,7 +228,8 @@ class StreamMonitor(TraceRecorder):
     aggregator; :meth:`emit` routes matching events as they happen, so
     the monitor's values are live at any point of the run — no post-hoc
     pass over a stored trace. Events without a simulation time ``t``
-    (engine events) are ignored.
+    (possible in foreign JSONL; the simulator stamps every event) are
+    ignored.
 
     Example::
 

@@ -18,7 +18,7 @@ from repro.cluster.simulator import ClusterConfig
 from repro.errors import ConfigurationError
 from repro.exec import PolicySpec, RunSpec, SweepEngine, execute_spec
 from repro.exec.engine import fork_available
-from repro.obs import MemoryRecorder
+from repro.obs import ExperimentLedger
 from repro.units import hours
 
 needs_fork = pytest.mark.skipif(
@@ -37,9 +37,10 @@ def tiny_spec(seed):
     )
 
 
-def retry_events(recorder):
-    return [e for e in recorder.events
-            if e.get("kind") == "engine_worker_retry"]
+def provenance(ledger, spec):
+    """The ledger provenance of ``spec``'s single entry."""
+    (entry,) = [e for e in ledger.entries if e["digest"] == spec.digest()]
+    return entry["provenance"]
 
 
 def assert_results_healthy(results, specs):
@@ -61,34 +62,32 @@ class TestWorkerFailures:
         sentinel = tmp_path / "failed-once"
         monkeypatch.setenv("REPRO_EXEC_FAIL_SEED", str(DOOMED_SEED))
         monkeypatch.setenv("REPRO_EXEC_FAIL_ONCE", str(sentinel))
-        recorder = MemoryRecorder()
-        engine = SweepEngine(workers=2, recorder=recorder)
+        ledger = ExperimentLedger()
+        engine = SweepEngine(workers=2, ledger=ledger)
         specs = [tiny_spec(DOOMED_SEED), tiny_spec(7), tiny_spec(8)]
         results = engine.run_specs(specs)
         assert sentinel.exists()  # the injected crash actually fired
         assert engine.last_stats.retried == 1
         assert engine.last_stats.quarantined == 0
         assert engine.last_stats.simulated == 3
-        events = retry_events(recorder)
-        assert len(events) == 1
-        assert events[0]["reason"] == "crash"
-        assert events[0]["action"] == "retry"
-        assert events[0]["attempts"] == 1
-        assert events[0]["digest"] == specs[0].digest()
+        doomed = provenance(ledger, specs[0])
+        assert doomed["retries"] == 1
+        assert doomed["quarantined"] is False
         assert_results_healthy(results, specs)
 
     def test_poisoned_spec_is_quarantined_to_serial(self, monkeypatch):
         """Retries exhausted: the spec falls back to the parent, where
         the run still succeeds (the failure only fires in workers)."""
         monkeypatch.setenv("REPRO_EXEC_FAIL_SEED", str(DOOMED_SEED))
-        recorder = MemoryRecorder()
-        engine = SweepEngine(workers=2, recorder=recorder, retries=1)
+        ledger = ExperimentLedger()
+        engine = SweepEngine(workers=2, ledger=ledger, retries=1)
         specs = [tiny_spec(DOOMED_SEED), tiny_spec(7)]
         results = engine.run_specs(specs)
         assert engine.last_stats.retried == 1
         assert engine.last_stats.quarantined == 1
-        actions = [e["action"] for e in retry_events(recorder)]
-        assert actions == ["retry", "quarantine"]
+        doomed = provenance(ledger, specs[0])
+        assert doomed["retries"] == 1
+        assert doomed["quarantined"] is True
         assert_results_healthy(results, specs)
 
     def test_hung_worker_times_out_and_is_quarantined(self, monkeypatch):
@@ -96,18 +95,17 @@ class TestWorkerFailures:
         the sweep forever."""
         monkeypatch.setenv("REPRO_EXEC_FAIL_SEED", str(DOOMED_SEED))
         monkeypatch.setenv("REPRO_EXEC_FAIL_MODE", "hang")
-        recorder = MemoryRecorder()
+        ledger = ExperimentLedger()
         engine = SweepEngine(
-            workers=2, recorder=recorder, run_timeout_s=5.0, retries=0
+            workers=2, ledger=ledger, run_timeout_s=5.0, retries=0
         )
         specs = [tiny_spec(DOOMED_SEED), tiny_spec(7)]
         results = engine.run_specs(specs)
         assert engine.last_stats.quarantined == 1
         assert engine.last_stats.retried == 0
-        events = retry_events(recorder)
-        assert len(events) == 1
-        assert events[0]["reason"] == "timeout"
-        assert events[0]["action"] == "quarantine"
+        doomed = provenance(ledger, specs[0])
+        assert doomed["retries"] == 0
+        assert doomed["quarantined"] is True
         assert_results_healthy(results, specs)
 
     def test_survivors_behind_the_offender_are_resubmitted(

@@ -19,7 +19,7 @@ from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.core.baselines import NoCapPolicy, SingleThresholdLowPriPolicy
 from repro.core.policy import DualThresholdPolicy
 from repro.errors import ConfigurationError
-from repro.exec import SweepEngine, result_from_dict, result_to_dict
+from repro.exec import result_from_dict, result_to_dict
 from repro.faults import FaultPlan, ReliabilityConfig, TelemetryFaultSpec
 from repro.obs import (
     NULL_RECORDER,
@@ -147,6 +147,13 @@ class TestRecorderParity:
         assert_results_bit_identical(bare, traced)
         assert len(recorder) > 0
         assert traced.observability is not None
+        # One event model: every event carries its simulation time.
+        untimed = [
+            e for e in recorder.events
+            if not isinstance(e.get("t"), (int, float))
+            or isinstance(e["t"], bool)
+        ]
+        assert untimed == []
 
     def test_fresh_null_recorder_instance_is_disabled(self):
         assert NullRecorder().enabled is False
@@ -481,131 +488,6 @@ class TestSimulatorObservability:
         assert merged["gauges"]["power.peak_row_w"] == max(
             s["gauges"]["power.peak_row_w"] for s in snaps
         )
-
-
-# ----------------------------------------------------------------------
-# Engine-level recording
-# ----------------------------------------------------------------------
-class TestEngineRecording:
-    def make_specs(self, seeds=(1, 2, 1)):
-        from repro.exec import PolicySpec, RunSpec
-        from repro.units import hours
-
-        return [
-            RunSpec(
-                config=ClusterConfig(n_base_servers=10, seed=seed),
-                policy=PolicySpec("No-cap"),
-                duration_s=hours(1),
-            )
-            for seed in seeds
-        ]
-
-    def test_engine_emits_run_and_batch_events(self):
-        recorder = MemoryRecorder()
-        engine = SweepEngine(workers=1, recorder=recorder)
-        specs = self.make_specs()
-        engine.run_specs(specs)
-        engine.run_specs(specs[:1])
-        kinds = [event["kind"] for event in recorder.events]
-        assert kinds.count("engine_run") == 2  # seed 1 deduped in-batch
-        assert kinds.count("engine_batch") == 2
-        assert kinds.count("engine_cache_hit") == 1
-        run_events = [
-            e for e in recorder.events if e["kind"] == "engine_run"
-        ]
-        digests = {spec.digest() for spec in specs}
-        for event in run_events:
-            assert event["digest"] in digests
-            assert event["wall_s"] > 0
-            assert isinstance(event["worker"], int)
-        counters = engine.metrics.snapshot()["counters"]
-        assert counters["engine.simulated"] == 2
-        assert counters["engine.requested"] == 4
-        assert counters["engine.cache_hits"] == 2  # 1 in-batch + 1 cached
-        assert counters["engine.batches"] == 2
-
-    def test_engine_recording_results_identical_to_unrecorded(self):
-        specs = self.make_specs(seeds=(1, 2))
-        plain = SweepEngine(workers=1).run_specs(specs)
-        recorded = SweepEngine(
-            workers=1, recorder=MemoryRecorder()
-        ).run_specs(specs)
-        for a, b in zip(plain, recorded):
-            assert a.total_energy_j == b.total_energy_j
-            assert (a.power_series.values == b.power_series.values).all()
-
-    def test_engine_emits_live_progress_events(self):
-        recorder = MemoryRecorder()
-        engine = SweepEngine(workers=1, recorder=recorder)
-        specs = self.make_specs(seeds=(1, 2, 1))  # 2 unique + 1 dupe
-        engine.run_specs(specs)
-        progress = [
-            e for e in recorder.events if e["kind"] == "engine_progress"
-        ]
-        assert [e["done"] for e in progress] == [1, 2]
-        assert all(e["total"] == 2 for e in progress)
-        assert all(e["cache_hits"] == 1 for e in progress)
-        assert all(e["workers"] == 1 for e in progress)
-        elapsed = [e["elapsed_s"] for e in progress]
-        assert elapsed == sorted(elapsed)
-        assert progress[-1]["eta_s"] == 0.0  # batch complete
-        assert progress[0]["eta_s"] > 0.0
-        gauges = engine.metrics.snapshot()["gauges"]
-        assert gauges["engine.progress_done"] == 2.0
-
-    def test_parallel_engine_emits_progress_per_completion(self):
-        from repro.exec import fork_available
-
-        if not fork_available():
-            pytest.skip("platform has no fork start method")
-        recorder = MemoryRecorder()
-        engine = SweepEngine(workers=2, recorder=recorder)
-        engine.run_specs(self.make_specs(seeds=(1, 2)))
-        progress = [
-            e for e in recorder.events if e["kind"] == "engine_progress"
-        ]
-        assert [e["done"] for e in progress] == [1, 2]
-        assert all(e["workers"] == 2 for e in progress)
-
-    def test_engine_export_metrics_textfile(self, tmp_path):
-        import re
-
-        engine = SweepEngine(workers=1, recorder=MemoryRecorder())
-        engine.run_specs(self.make_specs(seeds=(1, 2)))
-        path = tmp_path / "engine.prom"
-        text = engine.export_metrics(
-            str(path), labels={"sweep": "unit"}
-        )
-        assert path.read_text(encoding="utf-8") == text
-        assert text.endswith("# EOF\n")
-        assert ('repro_engine_engine_simulated_total{sweep="unit"} 2'
-                in text)
-        assert re.search(
-            r'repro_engine_engine_run_wall_s_bucket'
-            r'\{le="\+Inf",sweep="unit"\} 2', text
-        )
-
-    def test_parallel_engine_recording_matches_serial(self):
-        from repro.exec import fork_available
-
-        if not fork_available():
-            pytest.skip("platform has no fork start method")
-        specs = self.make_specs(seeds=(1, 2))
-        serial_rec = MemoryRecorder()
-        parallel_rec = MemoryRecorder()
-        serial = SweepEngine(workers=1, recorder=serial_rec)
-        parallel = SweepEngine(workers=2, recorder=parallel_rec)
-        for a, b in zip(serial.run_specs(specs), parallel.run_specs(specs)):
-            assert a.total_energy_j == b.total_energy_j
-        assert parallel.last_stats.workers_used == 2
-        workers = {
-            e["worker"] for e in parallel_rec.events
-            if e["kind"] == "engine_run"
-        }
-        assert workers  # pids of pool workers
-        assert parallel.metrics.snapshot()["counters"][
-            "engine.simulated"
-        ] == 2
 
 
 # ----------------------------------------------------------------------

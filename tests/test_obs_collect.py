@@ -408,6 +408,7 @@ class TestEngineCollection:
         "serial",
         pytest.param("pool", marks=needs_fork),
         "incremental",
+        pytest.param("incremental-pool", marks=needs_fork),
     ])
     @pytest.mark.parametrize("kinds, sample, plan", [
         (None, {"serve": 0.25}, None),
@@ -424,11 +425,15 @@ class TestEngineCollection:
         collector = TraceCollector(
             tmp_path / "traces", kinds=kinds, sample=sample
         )
-        SweepEngine(
-            workers=2 if path == "pool" else 1,
-            incremental=path == "incremental",
+        engine = SweepEngine(
+            workers=2 if path.endswith("pool") else 1,
+            incremental=path.startswith("incremental"),
             collector=collector,
-        ).run_specs(specs)
+        )
+        engine.run_specs(specs)
+        if path == "incremental-pool":
+            # Recorded runs are cold, so they fan out over the pool.
+            assert engine.last_stats.workers_used == 2
         for spec in specs:
             recorder = MemoryRecorder()
             execute_spec(spec, recorder=recorder)

@@ -14,7 +14,6 @@ MAPE acceptance gate needs the longer window at this cluster size.
 """
 
 import json
-import math
 import os
 
 import pytest
@@ -28,7 +27,6 @@ from repro.exec.engine import fork_available
 from repro.obs import (
     LEDGER_SCHEMA_VERSION,
     ExperimentLedger,
-    MemoryRecorder,
     environment_stamp,
     headline_metrics,
     read_ledger,
@@ -159,6 +157,20 @@ class TestLedgerEntries:
         assert second["wall_s"] == 0.0
         assert second["metrics"] == first["metrics"]
 
+    def test_all_cache_hit_batch_ledgers_hits_in_spec_order(self):
+        """A batch answered entirely from cache simulates nothing, yet
+        the ledger still accounts for every recalled run, in order."""
+        ledger = ExperimentLedger()
+        engine = SweepEngine(workers=1, ledger=ledger)
+        specs = [tiny_spec(seed=1), tiny_spec(seed=2)]
+        engine.run_specs(specs)
+        engine.run_specs(specs)
+        assert engine.last_stats.simulated == 0
+        hits = [e for e in ledger.entries
+                if e["provenance"]["cache_hit"]]
+        assert [e["digest"] for e in hits] == \
+            [s.digest() for s in specs]
+
     def test_duplicate_specs_in_batch_share_one_entry(self):
         ledger = ExperimentLedger()
         engine = SweepEngine(workers=1, ledger=ledger)
@@ -282,61 +294,3 @@ class TestLedgerFile:
         path = tmp_path / "gappy.jsonl"
         path.write_text('\n{"schema": 1, "kind": "run"}\n\n')
         assert len(read_ledger(str(path))) == 1
-
-
-# ----------------------------------------------------------------------
-# Satellite: engine_progress edge cases
-# ----------------------------------------------------------------------
-class TestEngineProgress:
-    @staticmethod
-    def progress_events(recorder):
-        return [e for e in recorder.events
-                if e.get("kind") == "engine_progress"]
-
-    def test_eta_finite_from_first_completed_run(self):
-        """The very first progress event already extrapolates an ETA —
-        never inf, never NaN — and the last one reads zero."""
-        recorder = MemoryRecorder()
-        engine = SweepEngine(workers=1, recorder=recorder)
-        engine.run_specs([tiny_spec(seed=1), tiny_spec(seed=2)])
-        events = self.progress_events(recorder)
-        assert [e["done"] for e in events] == [1, 2]
-        first, last = events[0], events[-1]
-        assert math.isfinite(first["eta_s"])
-        assert first["eta_s"] >= 0.0
-        assert last["eta_s"] == 0.0
-        assert all(e["total"] == 2 for e in events)
-
-    def test_all_cache_hit_batch_emits_no_progress(self):
-        """A batch resolved entirely from cache simulates nothing, so
-        the progress feed stays silent — but the batch event and the
-        ledger still account for every recalled run."""
-        ledger = ExperimentLedger()
-        engine = SweepEngine(workers=1, ledger=ledger)
-        specs = [tiny_spec(seed=1), tiny_spec(seed=2)]
-        engine.run_specs(specs)
-        recorder = MemoryRecorder()
-        engine.recorder = recorder
-        engine.run_specs(specs)
-        assert self.progress_events(recorder) == []
-        batches = [e for e in recorder.events
-                   if e.get("kind") == "engine_batch"]
-        assert len(batches) == 1
-        assert batches[0]["cache_hits"] == 2
-        assert batches[0]["simulated"] == 0
-        hits = [e for e in ledger.entries
-                if e["provenance"]["cache_hit"]]
-        assert [e["digest"] for e in hits] == \
-            [s.digest() for s in specs]
-
-    def test_progress_counts_cache_hits_in_mixed_batch(self):
-        recorder = MemoryRecorder()
-        engine = SweepEngine(workers=1, recorder=recorder)
-        warm = tiny_spec(seed=1)
-        engine.run(warm)
-        engine.run_specs([warm, tiny_spec(seed=2)])
-        events = self.progress_events(recorder)
-        # One progress event for the single simulated run; the cache
-        # hit is visible in its counter, not as a phantom completion.
-        assert events[-1]["done"] == events[-1]["total"] == 1
-        assert events[-1]["cache_hits"] == 1
