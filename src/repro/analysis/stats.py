@@ -117,13 +117,16 @@ def summarize_latencies(latencies: Iterable[float]) -> LatencySummary:
     Raises:
         ConfigurationError: If no latencies were observed.
     """
-    data = np.asarray(list(latencies), dtype=float)
+    if not isinstance(latencies, (list, np.ndarray)):
+        latencies = list(latencies)
+    data = np.asarray(latencies, dtype=float)
     if data.size == 0:
         raise ConfigurationError("cannot summarize an empty latency population")
+    p50, p99 = np.percentile(data, (50, 99))
     return LatencySummary(
         count=int(data.size),
-        p50=float(np.percentile(data, 50)),
-        p99=float(np.percentile(data, 99)),
+        p50=float(p50),
+        p99=float(p99),
         maximum=float(data.max()),
         mean=float(data.mean()),
     )

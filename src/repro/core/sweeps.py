@@ -264,16 +264,11 @@ class SweepPoint:
 def _sweep_point(
     fraction: float, result: SimulationResult, baseline: SimulationResult
 ) -> SweepPoint:
+    latency = {p: result.normalized_latencies(p, baseline) for p in Priority}
     return SweepPoint(
         added_fraction=fraction,
-        normalized_p50={
-            p: result.normalized_latencies(p, baseline)["p50"]
-            for p in Priority
-        },
-        normalized_p99={
-            p: result.normalized_latencies(p, baseline)["p99"]
-            for p in Priority
-        },
+        normalized_p50={p: ratios["p50"] for p, ratios in latency.items()},
+        normalized_p99={p: ratios["p99"] for p, ratios in latency.items()},
         normalized_throughput={
             p: result.normalized_throughput(p, baseline)
             for p in Priority
@@ -402,20 +397,14 @@ def compare_policies(
     baseline = results[0]
     comparisons: List[PolicyComparison] = []
     for label, result in zip(labels, results[1:]):
+        latency = {
+            p: result.normalized_latencies(p, baseline) for p in Priority
+        }
         comparisons.append(PolicyComparison(
             policy_name=label,
-            normalized_p50={
-                p: result.normalized_latencies(p, baseline)["p50"]
-                for p in Priority
-            },
-            normalized_p99={
-                p: result.normalized_latencies(p, baseline)["p99"]
-                for p in Priority
-            },
-            normalized_max={
-                p: result.normalized_latencies(p, baseline)["max"]
-                for p in Priority
-            },
+            normalized_p50={p: ratios["p50"] for p, ratios in latency.items()},
+            normalized_p99={p: ratios["p99"] for p, ratios in latency.items()},
+            normalized_max={p: ratios["max"] for p, ratios in latency.items()},
             power_brake_events=result.power_brake_events,
         ))
     return comparisons

@@ -16,18 +16,76 @@ bounded: ``max_disk_bytes`` caps the total footprint with
 least-recently-used eviction (access order is tracked per process and
 seeded from file mtimes on startup), and the evict/byte counters are
 part of :attr:`stats`.
+
+A result entry is :func:`~repro.exec.codec.result_to_dict` with its
+three kinds of float array — each ``latencies`` list under
+``per_priority`` and ``per_workload``, and ``power_series.values`` —
+packed as ``{"f64": "<base64 of little-endian float64 bytes>"}``, so a
+load decodes them with ``np.frombuffer`` instead of parsing decimal
+text. The round trip is exact to the bit, and nothing is unpickled or
+executed. Entries whose arrays are plain JSON lists still load. An
+entry that is corrupt, truncated, vanished or unreadable is a miss,
+never an exception.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
+
+import numpy as np
 
 from repro.cluster.metrics import SimulationResult
 from repro.errors import ConfigurationError
 from repro.exec.codec import result_from_dict, result_to_dict
+
+
+#: Key of a packed float64 array in a disk result entry.
+_PACKED = "f64"
+
+
+def _pack(values: Any) -> Dict[str, str]:
+    raw = np.asarray(values, dtype="<f8").tobytes()
+    return {_PACKED: base64.b64encode(raw).decode("ascii")}
+
+
+def _unpack(field: Any, as_list: bool) -> Union[list, np.ndarray]:
+    """Decode one packed array; the older plain JSON list passes through."""
+    if isinstance(field, list):
+        return field
+    if not isinstance(field, dict):
+        raise TypeError(f"float array field is a {type(field).__name__}")
+    raw = base64.b64decode(field[_PACKED], validate=True)
+    values = np.frombuffer(raw, dtype="<f8")
+    # frombuffer gives a read-only view of ``raw``; astype copies it into
+    # a writable native-endian array like a freshly simulated one.
+    return values.tolist() if as_list else values.astype(np.float64)
+
+
+def _metric_groups(data: Dict[str, Any]):
+    yield from data["per_priority"].values()
+    yield from data["per_workload"].values()
+
+
+def _pack_arrays(data: Dict[str, Any]) -> Dict[str, Any]:
+    """Pack an encoded result's float arrays in place (see module doc)."""
+    for metrics in _metric_groups(data):
+        metrics["latencies"] = _pack(metrics["latencies"])
+    series = data["power_series"]
+    series["values"] = _pack(series["values"])
+    return data
+
+
+def _unpack_arrays(data: Dict[str, Any]) -> Dict[str, Any]:
+    """Inverse of :func:`_pack_arrays`, in place."""
+    for metrics in _metric_groups(data):
+        metrics["latencies"] = _unpack(metrics["latencies"], as_list=True)
+    series = data["power_series"]
+    series["values"] = _unpack(series["values"], as_list=False)
+    return data
 
 
 class RunCache:
@@ -144,18 +202,17 @@ class RunCache:
             return result
         if self.cache_dir is not None:
             path = self._path(digest)
-            if path.exists():
-                try:
-                    data = json.loads(path.read_text())
-                    result = result_from_dict(data)
-                except (ConfigurationError, ValueError, KeyError,
-                        TypeError):
-                    result = None  # stale/corrupt entry: treat as a miss
-                if result is not None:
-                    self._memory[digest] = result
-                    self._touch(path, path.stat().st_size)
-                    self.disk_hits += 1
-                    return result
+            try:
+                data = path.read_bytes()
+                result = result_from_dict(_unpack_arrays(json.loads(data)))
+            except (OSError, ConfigurationError, ValueError, KeyError,
+                    TypeError, AttributeError):
+                result = None  # absent/stale/corrupt entry: a miss
+            if result is not None:
+                self._memory[digest] = result
+                self._touch(path, len(data))
+                self.disk_hits += 1
+                return result
         self.misses += 1
         return None
 
@@ -166,7 +223,7 @@ class RunCache:
         if self.cache_dir is not None:
             self._write_bounded(
                 self._path(digest),
-                json.dumps(result_to_dict(result)).encode("utf-8"),
+                json.dumps(_pack_arrays(result_to_dict(result))).encode(),
             )
 
     # ------------------------------------------------------------------
@@ -182,16 +239,15 @@ class RunCache:
             return blob
         if self.cache_dir is not None:
             path = self._blob_path(digest)
-            if path.exists():
-                try:
-                    blob = path.read_bytes()
-                except OSError:
-                    blob = None
-                if blob is not None:
-                    self._blobs[digest] = blob
-                    self._touch(path, len(blob))
-                    self.disk_hits += 1
-                    return blob
+            try:
+                blob = path.read_bytes()
+            except OSError:
+                blob = None  # absent or unreadable: a miss
+            if blob is not None:
+                self._blobs[digest] = blob
+                self._touch(path, len(blob))
+                self.disk_hits += 1
+                return blob
         self.misses += 1
         return None
 

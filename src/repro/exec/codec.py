@@ -1,9 +1,14 @@
-"""JSON (de)serialization of :class:`SimulationResult`.
+"""JSON-primitive (de)serialization of :class:`SimulationResult`.
 
-Backs the on-disk layer of the run memo cache. Floats survive the round
-trip exactly (``json`` emits shortest-round-trip representations), so a
-result loaded from disk is value-identical to the freshly simulated one
-— which keeps cached sweeps bit-identical to uncached ones.
+:func:`result_to_dict` is the one encoded form of a result: golden
+snapshots store it, :mod:`repro.obs.diff` walks it, and the on-disk
+layer of the run memo cache (:mod:`repro.exec.cache`) writes it with
+its float arrays — latencies and power samples — packed as base64 of
+little-endian float64 bytes instead of decimal text. Floats survive
+either form exactly (packed bytes, or ``json``'s shortest-round-trip
+text), so a result loaded from disk is value-identical to the freshly
+simulated one — which keeps cached sweeps bit-identical to uncached
+ones.
 """
 
 from __future__ import annotations

@@ -1,9 +1,19 @@
 """Run memoization: digests, the memo cache, and shared-work accounting."""
 
+import base64
+import json
+import math
 import os
+import struct
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.analysis.timeseries import TimeSeries
+from repro.cluster.metrics import PriorityMetrics, SimulationResult
 from repro.cluster.simulator import ClusterConfig
 from repro.core.policy import POLCA_DEFAULTS, PolcaThresholds
 from repro.core.sweeps import (
@@ -25,6 +35,7 @@ from repro.exec import (
 from repro.exec import traces
 from repro.exec.profile import profile_call, timed
 from repro.units import hours
+from repro.workloads.spec import Priority
 
 
 def small_spec(seed: int = 1, added_fraction: float = 0.0,
@@ -226,6 +237,162 @@ class TestBoundedDisk:
         assert cache.disk_bytes == 0
         assert list(tmp_path.iterdir()) == []
         assert cache.get_blob("a") is None
+
+
+def _f64(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+#: A NaN with a payload, which decimal text cannot carry.
+NAN_PAYLOAD = struct.unpack("<d", struct.pack("<Q", 0x7FF0_0000_0000_0001))[0]
+
+#: Floats a decimal round trip is most likely to get wrong.
+EDGE_FLOATS = st.sampled_from([
+    math.nan, NAN_PAYLOAD, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+    2.2250738585072014e-308, 1.1125369292536007e-308, 1.7976931348623157e308,
+    0.1, 1 / 3,
+])
+FLOAT_LISTS = st.lists(st.one_of(st.floats(), EDGE_FLOATS), max_size=40)
+
+
+def _synthetic_result(low, high, workload, power) -> SimulationResult:
+    return SimulationResult(
+        per_priority={
+            Priority.LOW: PriorityMetrics(latencies=low, served=len(low),
+                                          dropped=1),
+            Priority.HIGH: PriorityMetrics(latencies=high, served=len(high)),
+        },
+        power_series=TimeSeries(start=0.0, interval=2.0, values=power),
+        provisioned_power_w=1000.0,
+        power_brake_events=0,
+        capping_actions=3,
+        duration_s=60.0,
+        per_workload={
+            "Chat": PriorityMetrics(latencies=workload,
+                                    served=len(workload)),
+        },
+        total_energy_j=1.5,
+    )
+
+
+@pytest.fixture(scope="module")
+def stored_entry():
+    """A real result and the digest it is stored under."""
+    spec = small_spec()
+    return spec.digest(), execute_spec(spec)
+
+
+class TestDiskCodec:
+    """Result entries on disk: packed float64 arrays, exact and robust."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(low=FLOAT_LISTS, high=FLOAT_LISTS, workload=FLOAT_LISTS,
+           power=FLOAT_LISTS)
+    @example(low=[], high=[], workload=[], power=[])
+    @example(low=[-0.0], high=[NAN_PAYLOAD], workload=[5e-324],
+             power=[math.inf])
+    def test_round_trip_is_bit_identical(self, low, high, workload, power):
+        original = _synthetic_result(low, high, workload, power)
+        with tempfile.TemporaryDirectory() as cache_dir:
+            RunCache(cache_dir).put("entry", original)
+            fresh = RunCache(cache_dir)
+            decoded = fresh.get("entry")
+        assert fresh.disk_hits == 1
+        for priority, metrics in original.per_priority.items():
+            latencies = decoded.per_priority[priority].latencies
+            assert all(type(v) is float for v in latencies)
+            assert _f64(latencies) == _f64(metrics.latencies)
+            assert decoded.per_priority[priority].served == metrics.served
+            assert decoded.per_priority[priority].dropped == metrics.dropped
+        assert _f64(decoded.per_workload["Chat"].latencies) == _f64(workload)
+        values = decoded.power_series.values
+        assert values.dtype == np.float64 and values.flags.writeable
+        assert values.tobytes() == _f64(power)
+
+    def test_entry_packs_the_float_arrays(self, tmp_path, stored_entry):
+        digest, result = stored_entry
+        RunCache(tmp_path).put(digest, result)
+        entry = json.loads((tmp_path / f"{digest}.json").read_bytes())
+        packed = [m["latencies"] for m in entry["per_priority"].values()]
+        packed += [m["latencies"] for m in entry["per_workload"].values()]
+        packed.append(entry["power_series"]["values"])
+        assert all(set(field) == {"f64"} for field in packed)
+        values = result.power_series.values
+        assert base64.b64decode(packed[-1]["f64"]) == values.astype("<f8").tobytes()
+
+    def test_list_form_entry_still_loads(self, tmp_path, stored_entry):
+        digest, result = stored_entry
+        (tmp_path / f"{digest}.json").write_text(
+            json.dumps(result_to_dict(result))
+        )
+        cache = RunCache(tmp_path)
+        decoded = cache.get(digest)
+        assert cache.disk_hits == 1
+        assert result_to_dict(decoded) == result_to_dict(result)
+
+    @pytest.mark.parametrize("corrupt", [
+        "non_base64_character",
+        "payload_not_multiple_of_8",
+        "packed_payload_not_a_string",
+        "array_field_a_string",
+        "array_field_missing_key",
+        "metric_groups_a_list",
+        "truncated_mid_payload",
+    ])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, stored_entry, corrupt):
+        digest, result = stored_entry
+        RunCache(tmp_path).put(digest, result)
+        path = tmp_path / f"{digest}.json"
+        raw = path.read_bytes()
+        entry = json.loads(raw)
+        packed = entry["per_priority"][Priority.LOW.value]["latencies"]
+        if corrupt == "non_base64_character":
+            packed["f64"] = "!" + packed["f64"][1:]
+        elif corrupt == "payload_not_multiple_of_8":
+            packed["f64"] = base64.b64encode(b"\x00" * 12).decode()
+        elif corrupt == "packed_payload_not_a_string":
+            packed["f64"] = 12
+        elif corrupt == "array_field_a_string":
+            entry["per_priority"][Priority.LOW.value]["latencies"] = "123"
+        elif corrupt == "array_field_missing_key":
+            entry["power_series"]["values"] = {"f32": ""}
+        elif corrupt == "metric_groups_a_list":
+            entry["per_workload"] = []
+        if corrupt == "truncated_mid_payload":
+            path.write_bytes(raw[:raw.index(b'"f64"') + 100])
+        else:
+            path.write_text(json.dumps(entry))
+        fresh = RunCache(tmp_path)
+        assert fresh.get(digest) is None
+        assert fresh.misses == 1
+        assert fresh.disk_hits == 0
+
+    def test_entry_vanishing_mid_read_is_a_miss(
+        self, tmp_path, stored_entry, monkeypatch
+    ):
+        # Another process evicting the entry under max_disk_bytes.
+        digest, result = stored_entry
+        RunCache(tmp_path).put(digest, result)
+        read_bytes = Path.read_bytes
+
+        def vanish(path):
+            path.unlink()
+            return read_bytes(path)
+
+        fresh = RunCache(tmp_path)
+        monkeypatch.setattr(Path, "read_bytes", vanish)
+        assert fresh.get(digest) is None
+        assert fresh.misses == 1
+        assert fresh.disk_hits == 0
+
+    def test_unreadable_entry_is_a_miss(self, tmp_path):
+        (tmp_path / "entry.json").mkdir()
+        (tmp_path / "blob.bin").mkdir()
+        cache = RunCache(tmp_path)
+        assert cache.get("entry") is None
+        assert cache.get_blob("blob") is None
+        assert cache.misses == 2
+        assert cache.disk_hits == 0
 
 
 class TestSharedBaseline:
