@@ -105,7 +105,7 @@ def test_ext_powerfail(benchmark):
     # The census artifact is written before the claim asserts so CI
     # uploads it (and the regression sentinel can diff it) even when a
     # claim regresses.
-    report = attribute_run(str(TRACE_PATH))
+    report = attribute_run(TRACE_PATH)
     summary = {
         "scenario": {
             "n_base_servers": N_BASE,
@@ -150,7 +150,7 @@ def test_ext_powerfail(benchmark):
         assert pf.energy_conserved_exactly, f"{label} leaked energy"
     # Every trip/shed/re-energization event in the artifact must
     # re-derive the result's counters (two independent accountings).
-    cross_check(str(TRACE_PATH), unmanaged).require_ok()
+    cross_check(TRACE_PATH, unmanaged).require_ok()
     # Causal attribution across a trip: latency conserves exactly and
     # the lost requests show up as trip drops.
     assert report.requests, "no attributable requests in the trace"

@@ -136,7 +136,7 @@ def test_fig18_trace_artifact(benchmark):
 
     traced, bare = benchmark.pedantic(record_trace, rounds=1, iterations=1)
     assert traced.power_brake_events > 0
-    cross_check(str(TRACE_PATH), traced).require_ok()
+    cross_check(TRACE_PATH, traced).require_ok()
     assert traced.power_brake_events == bare.power_brake_events
     assert traced.total_energy_j == bare.total_energy_j
     assert traced.total_served == bare.total_served
@@ -154,7 +154,7 @@ def test_fig18_trace_artifact(benchmark):
     # Causal attribution of the same trace: the brake storm must be
     # *visible* as per-request stall seconds, conservation must be
     # exact, and the span trees export as a valid Perfetto trace.
-    report = attribute_run(str(TRACE_PATH))
+    report = attribute_run(TRACE_PATH)
     assert report.requests, "no attributable requests in the trace"
     assert not report.conservation_violations
     assert report.unfinished == 0
@@ -163,11 +163,11 @@ def test_fig18_trace_artifact(benchmark):
         if r.components_s["brake_stall"] >= 1.0
     ]
     assert stalled, "brake storm attributed <1 s stall to every request"
-    perfetto = write_chrome_trace(str(PERFETTO_PATH), str(TRACE_PATH))
+    perfetto = write_chrome_trace(str(PERFETTO_PATH), TRACE_PATH)
     assert perfetto["traceEvents"], "empty Perfetto export"
     print(f"\n=== Figure 18 trace artifact — {TRACE_PATH.name} "
           f"({TRACE_HOURS:.0f} h No-cap+5% at 30% oversubscription) ===")
-    for line in summarize_trace(str(TRACE_PATH)):
+    for line in summarize_trace(TRACE_PATH):
         print(f"  {line}")
     print(f"\n=== Live incidents — exported to {METRICS_PATH.name} ===")
     for line in incident_table(incidents):
@@ -210,7 +210,7 @@ def test_fig18_mission_control_report(benchmark, eval_cache):
         )
         dash.add_sweep_panel(points)
         events = (
-            load_events(str(TRACE_PATH)) if TRACE_PATH.exists() else []
+            load_events(TRACE_PATH) if TRACE_PATH.exists() else []
         )
         if events:
             dash.add_timeline_panel(events=events)

@@ -28,153 +28,46 @@ breaker-trip modeling, cascading failure, emergency shedding, staged
 recovery), :mod:`repro.characterization`, :mod:`repro.analysis`.
 """
 
-from repro.errors import (
-    ActuationError,
-    CapacityError,
-    ConfigurationError,
-    FrequencyError,
-    ModelNotFoundError,
-    PowerCapError,
-    ReproError,
-    SimulationError,
-    TelemetryError,
-    TraceError,
-)
-from repro.gpu import A100_40GB, A100_80GB, H100_80GB, GpuSpec, SimulatedGpu
-from repro.models import (
-    InferenceRequest,
-    LlmSpec,
-    MODEL_ZOO,
-    RooflineLatencyModel,
-    get_model,
-)
-from repro.server import DgxServer
-from repro.cluster import ClusterConfig, ClusterSimulator, SimulationResult
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core import (
     DualThresholdPolicy,
     EvaluationHarness,
     NoCapPolicy,
     POLCA_DEFAULTS,
-    PolcaThresholds,
-    SingleThresholdAllPolicy,
-    SingleThresholdLowPriPolicy,
     UnmanagedPolicy,
-    added_servers_sweep,
-    compare_policies,
     evaluate_slos,
     select_thresholds,
-    threshold_search,
 )
-from repro.exec import (
-    PolicySpec,
-    RunCache,
-    RunSpec,
-    SweepEngine,
-    default_workers,
-)
-from repro.faults import (
-    FaultPlan,
-    ReliabilityConfig,
-    RobustnessReport,
-    ServerChurnEvent,
-)
-from repro.obs import (
-    AlertEngine,
-    Incident,
-    JsonlRecorder,
-    MemoryRecorder,
-    NullRecorder,
-    StreamMonitor,
-    TeeRecorder,
-    TraceRecorder,
-    cross_check,
-    default_rules,
-    diff_traces,
-    render_openmetrics,
-    summarize_trace,
-)
-from repro.powerfail import (
-    EmergencyConfig,
-    PowerFailReport,
-    ProtectionSpec,
-    TripCurve,
-)
-from repro.workloads import (
-    Priority,
-    ProductionTraceModel,
-    SyntheticTraceGenerator,
-    TABLE6_MIX,
-)
+from repro.faults import FaultPlan
+from repro.gpu import A100_80GB, SimulatedGpu
+from repro.models import RooflineLatencyModel, get_model
+from repro.obs import AlertEngine
+from repro.powerfail import ProtectionSpec
+from repro.server import DgxServer
+from repro.workloads import Priority
 
 __version__ = "1.0.0"
 
+#: What examples, tests and the documentation import from the root;
+#: everything else imports from its subpackage.
 __all__ = [
-    "A100_40GB",
     "A100_80GB",
-    "ActuationError",
     "AlertEngine",
-    "CapacityError",
     "ClusterConfig",
     "ClusterSimulator",
-    "ConfigurationError",
     "DgxServer",
     "DualThresholdPolicy",
-    "EmergencyConfig",
     "EvaluationHarness",
     "FaultPlan",
-    "FrequencyError",
-    "GpuSpec",
-    "H100_80GB",
-    "Incident",
-    "InferenceRequest",
-    "JsonlRecorder",
-    "LlmSpec",
-    "MODEL_ZOO",
-    "MemoryRecorder",
-    "ModelNotFoundError",
     "NoCapPolicy",
-    "NullRecorder",
     "POLCA_DEFAULTS",
-    "PolcaThresholds",
-    "PolicySpec",
-    "PowerCapError",
-    "PowerFailReport",
-    "ProtectionSpec",
     "Priority",
-    "ProductionTraceModel",
-    "ReliabilityConfig",
-    "ReproError",
-    "RobustnessReport",
+    "ProtectionSpec",
     "RooflineLatencyModel",
-    "RunCache",
-    "RunSpec",
-    "SweepEngine",
-    "ServerChurnEvent",
     "SimulatedGpu",
-    "SimulationError",
-    "SimulationResult",
-    "SingleThresholdAllPolicy",
-    "SingleThresholdLowPriPolicy",
-    "StreamMonitor",
-    "SyntheticTraceGenerator",
-    "TABLE6_MIX",
-    "TripCurve",
-    "TeeRecorder",
-    "TelemetryError",
-    "TraceError",
-    "TraceRecorder",
     "UnmanagedPolicy",
-    "added_servers_sweep",
-    "compare_policies",
-    "cross_check",
-    "default_rules",
-    "default_workers",
-    "diff_traces",
     "evaluate_slos",
     "get_model",
-    "render_openmetrics",
     "select_thresholds",
-    "summarize_trace",
-    "threshold_search",
     "__version__",
 ]

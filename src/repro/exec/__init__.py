@@ -35,7 +35,6 @@ Request traces are shared process-wide through a bounded cache keyed on
 from repro.exec.cache import RunCache
 from repro.exec.codec import result_from_dict, result_to_dict
 from repro.exec.engine import (
-    ExecutionStats,
     SweepEngine,
     default_workers,
     fork_available,
@@ -43,16 +42,11 @@ from repro.exec.engine import (
 )
 from repro.exec.incremental import (
     IncrementalExecutor,
-    IncrementalStats,
-    StepRecord,
     TapePolicy,
     family_digest,
     first_divergence,
 )
 from repro.exec.profile import (
-    HotSpot,
-    KernelStat,
-    ProfileReport,
     kernel_stats,
     profile_call,
     profile_kernels,
@@ -64,19 +58,13 @@ from repro.exec.runspec import (
     execute_spec,
     policy_spec_for,
 )
-from repro.exec.traces import TraceKey, requests_for, utilization_trace
+from repro.exec.traces import TraceKey, requests_for
 
 __all__ = [
-    "ExecutionStats",
-    "HotSpot",
     "IncrementalExecutor",
-    "IncrementalStats",
-    "KernelStat",
     "PolicySpec",
-    "ProfileReport",
     "RunCache",
     "RunSpec",
-    "StepRecord",
     "SweepEngine",
     "TapePolicy",
     "TraceKey",
@@ -94,5 +82,4 @@ __all__ = [
     "result_from_dict",
     "result_to_dict",
     "timed",
-    "utilization_trace",
 ]

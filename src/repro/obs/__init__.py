@@ -3,82 +3,62 @@
 The paper's argument is made of *visible* power behaviour: per-row
 telemetry series (Figure 16), cap/brake event timelines (Figure 18),
 and the controller's view of both under faults. This package records
-that behaviour from live runs without perturbing them:
+that behaviour from live runs without perturbing them, around one
+event model: the simulator emits plain-dict events, each stamped with
+its simulation time ``t``, to one
+:class:`~repro.obs.recorder.TraceRecorder`, and every consumer below is
+a recorder over that same stream — fed live (alone or through a
+:class:`~repro.obs.stream.TeeRecorder`) or replayed from a stored trace
+(:func:`~repro.obs.analyze.load_events` reads a JSONL path, ``str`` or
+``os.PathLike``, a recorder, or an event list). The default
+:data:`~repro.obs.recorder.NULL_RECORDER` is disabled and every hook is
+guarded by that flag, so an uninstrumented run is bit-identical to the
+pre-observability simulator.
 
-* :class:`~repro.obs.recorder.TraceRecorder` sinks — in-memory and
-  JSONL, the latter with an optional deterministic per-kind sample —
-  receive structured events from hook points threaded through
-  :class:`~repro.cluster.simulator.ClusterSimulator` (control decisions,
-  cap/brake issue→land→verify lifecycles, fallback entry/exit, churn,
-  request drops), every one stamped with its simulation time ``t``. The
-  default
-  :data:`~repro.obs.recorder.NULL_RECORDER` reports ``enabled = False``
-  and every hook is guarded by that flag, so an uninstrumented run is
-  bit-identical to the pre-observability simulator;
-* a :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges,
-  and histograms is snapshotted into
-  ``SimulationResult.observability`` for instrumented runs and can be
-  aggregated across a sweep with
-  :func:`~repro.obs.metrics.aggregate_snapshots`;
-* :mod:`repro.obs.analyze` reconstructs brake/cap timelines from a
-  trace and :func:`~repro.obs.analyze.cross_check`\\ s every reported
-  counter against the event stream, making the trace a self-validating
-  artifact (``examples/trace_inspect.py`` renders it);
-* the live layer (``repro.obs.live`` in the docs) consumes the same
-  stream *online*: :mod:`repro.obs.stream` provides per-event windowed
-  aggregators (:class:`~repro.obs.stream.Ewma`, rolling rates,
-  sliding-window max/quantile) behind a
-  :class:`~repro.obs.stream.StreamMonitor`, with
-  :class:`~repro.obs.stream.TeeRecorder` composing monitors with
-  storage sinks; :mod:`repro.obs.alerts` evaluates declarative
-  :class:`~repro.obs.alerts.AlertRule`\\ s (for-duration, hysteresis,
-  dedup) into :class:`~repro.obs.alerts.Incident` lifecycles that the
-  simulator snapshots into ``SimulationResult.observability``;
-  :mod:`repro.obs.export` renders snapshots as OpenMetrics text; and
-  :mod:`repro.obs.diff` localizes the first divergent event between
-  two traces (or results) for one-command root-causing;
-* the causal layer answers "*why* was this request slow":
-  :mod:`repro.obs.spans` folds the stream into per-request span trees
-  (arrival → queue-wait → prompt → token → completion/drop, each phase
-  carrying its cap/brake rate intervals) via the
-  :class:`~repro.obs.spans.SpanBuilder` recorder;
-  :mod:`repro.obs.attribution` computes exact (Fraction-arithmetic)
-  counterfactual full-clock latencies and decomposes realized latency
-  into queue-wait / service / cap-slowdown / brake-stall / fallback
-  seconds and excess energy, attributed to the specific cap generation
-  or brake version at fault (:func:`~repro.obs.attribution.attribute_run`,
-  :func:`~repro.obs.attribution.top_victims`); and
-  :func:`~repro.obs.export.render_chrome_trace` exports any trace in
-  the Chrome trace-event / Perfetto JSON format for visual inspection;
-* the cross-run layer is the memory between executions:
-  :mod:`repro.obs.ledger` journals every engine run (provenance,
-  rusage, headline metrics, environment stamp) into an append-only
-  JSONL :class:`~repro.obs.ledger.ExperimentLedger`;
-  :mod:`repro.obs.regress` diffs fresh benchmark reports and ledgers
-  against committed baselines under per-metric tolerance policies
-  (exact for deterministic metrics, relative-with-noise-floor for
-  timings — the CI regression sentinel); and
-  :mod:`repro.obs.dashboard` renders sweeps, timelines, incidents,
-  attribution, kernel timers, and ledger history into one
-  deterministic dependency-free static HTML page.
+* **Storage**: in-memory and JSONL sinks (:mod:`~repro.obs.recorder`,
+  with a deterministic per-kind sample) and per-run spooling
+  (:mod:`~repro.obs.collect`); a :class:`~repro.obs.metrics
+  .MetricsRegistry` snapshot lands in ``SimulationResult.observability``.
+* **Windows**: :mod:`~repro.obs.stream` holds the one set of sliding
+  window aggregators (EWMA, rolling rate, window max/quantile). The
+  :class:`~repro.obs.stream.StreamMonitor` probes and the
+  :mod:`~repro.obs.alerts` rules read them: a rate rule is a rolling
+  count, an SLO rule two (all serves, violating serves). The
+  :class:`~repro.obs.alerts.AlertEngine` routes events to rules by
+  kind and steps every rule at every timed event into
+  :class:`~repro.obs.alerts.Incident` lifecycles.
+* **Control plane**: one :class:`~repro.obs.analyze.ControlReplay` of
+  the brake, cap and fallback state machines yields the Figure 18
+  timelines (:func:`~repro.obs.analyze.brake_timeline`,
+  :func:`~repro.obs.analyze.cap_timeline`,
+  :func:`~repro.obs.analyze.fallback_windows`) and the causal stamps
+  of :class:`~repro.obs.spans.SpanBuilder`'s per-request span trees,
+  which :mod:`~repro.obs.attribution` decomposes exactly into
+  queue-wait / service / cap / brake / fallback seconds.
+  :func:`~repro.obs.analyze.cross_check` re-derives every reported
+  counter from the trace.
+* **Comparison**: :mod:`~repro.obs.diff` finds the first divergent
+  event of two traces, and its one nested-data walker
+  (:func:`~repro.obs.diff.walk_leaves`) also drives
+  :mod:`~repro.obs.regress`'s per-metric baseline verdicts; the
+  :mod:`~repro.obs.ledger` journals engine runs.
+* **Rendering**: :mod:`~repro.obs.query` (filter, aggregate, join),
+  OpenMetrics and Chrome/Perfetto export (:mod:`~repro.obs.export`),
+  and the static HTML :mod:`~repro.obs.dashboard`.
+
+This namespace re-exports only the names code, tests and documented
+examples import through it; everything else (rule classes, report
+dataclasses, stream aggregators) imports from its module, e.g.
+``from repro.obs.alerts import RateRule``.
 """
 
 from repro.obs.alerts import (
     AlertEngine,
-    AlertRule,
     Incident,
-    RateRule,
-    SloViolationRule,
-    ThresholdRule,
     default_rules,
     incident_table,
-    merge_incident_snapshots,
 )
 from repro.obs.analyze import (
-    BrakeSpan,
-    CapCommand,
-    CheckItem,
-    CrossCheckReport,
     brake_timeline,
     cap_timeline,
     cross_check,
@@ -89,29 +69,16 @@ from repro.obs.analyze import (
 )
 from repro.obs.attribution import (
     COMPONENTS,
-    AttributionReport,
-    RequestAttribution,
     attribute_run,
     attribution_table,
     top_victims,
 )
-from repro.obs.collect import TraceCollector, TraceJob
-from repro.obs.dashboard import (
-    PALETTE,
-    Dashboard,
-    render_sparkline,
-)
-from repro.obs.diff import (
-    Divergence,
-    diff_dicts,
-    diff_results,
-    diff_traces,
-    format_divergence,
-)
+from repro.obs.collect import TraceCollector
+from repro.obs.dashboard import PALETTE, Dashboard, render_sparkline
+from repro.obs.diff import diff_traces, format_divergence
 from repro.obs.export import (
     render_chrome_trace,
     render_openmetrics,
-    sanitize_metric_name,
     write_chrome_trace,
     write_textfile,
 )
@@ -121,20 +88,14 @@ from repro.obs.ledger import (
     environment_stamp,
     headline_metrics,
     read_ledger,
-    rusage_snapshot,
 )
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     aggregate_snapshots,
 )
 from repro.obs.regress import (
     DEFAULT_POLICIES,
-    MetricDiff,
-    RegressionReport,
     Tolerance,
     check_bench,
     check_bench_dir,
@@ -146,7 +107,6 @@ from repro.obs.recorder import (
     JsonlRecorder,
     MemoryRecorder,
     NullRecorder,
-    TraceEvent,
     TraceRecorder,
     hash_fraction,
     read_jsonl,
@@ -159,69 +119,30 @@ from repro.obs.query import (
     quantile,
     span_join,
 )
-from repro.obs.spans import (
-    PhaseSpan,
-    RateInterval,
-    RequestSpan,
-    SpanBuilder,
-    build_spans,
-    render_span_tree,
-)
-from repro.obs.stream import (
-    Ewma,
-    RollingRate,
-    StreamMonitor,
-    TeeRecorder,
-    WindowMax,
-    WindowQuantile,
-)
+from repro.obs.spans import SpanBuilder, build_spans, render_span_tree
+from repro.obs.stream import StreamMonitor, TeeRecorder
 
 __all__ = [
     "AlertEngine",
-    "AlertRule",
-    "AttributionReport",
-    "BrakeSpan",
     "COMPONENTS",
-    "CapCommand",
-    "CheckItem",
-    "Counter",
-    "CrossCheckReport",
     "DEFAULT_POLICIES",
     "Dashboard",
-    "Divergence",
-    "Ewma",
     "ExperimentLedger",
-    "Gauge",
-    "Histogram",
     "Incident",
     "JsonlRecorder",
     "LATENCY_BUCKETS",
     "LEDGER_SCHEMA_VERSION",
     "MemoryRecorder",
-    "MetricDiff",
     "MetricsRegistry",
     "NULL_RECORDER",
     "NullRecorder",
     "PALETTE",
-    "PhaseSpan",
-    "RateInterval",
-    "RateRule",
-    "RegressionReport",
-    "RequestAttribution",
-    "RequestSpan",
-    "RollingRate",
-    "SloViolationRule",
     "SpanBuilder",
     "StreamMonitor",
     "TeeRecorder",
-    "ThresholdRule",
     "Tolerance",
     "TraceCollector",
-    "TraceEvent",
-    "TraceJob",
     "TraceRecorder",
-    "WindowMax",
-    "WindowQuantile",
     "aggregate_snapshots",
     "attribute_run",
     "attribution_table",
@@ -234,8 +155,6 @@ __all__ = [
     "compare_metrics",
     "cross_check",
     "default_rules",
-    "diff_dicts",
-    "diff_results",
     "diff_traces",
     "environment_stamp",
     "fallback_windows",
@@ -246,7 +165,6 @@ __all__ = [
     "headline_metrics",
     "incident_table",
     "load_events",
-    "merge_incident_snapshots",
     "parse_agg",
     "project",
     "quantile",
@@ -256,8 +174,6 @@ __all__ = [
     "render_openmetrics",
     "render_span_tree",
     "render_sparkline",
-    "rusage_snapshot",
-    "sanitize_metric_name",
     "span_join",
     "summarize_trace",
     "top_victims",

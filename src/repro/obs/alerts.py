@@ -24,6 +24,11 @@ and are JSON-round-trippable, so the simulator snapshots them into
 ``SimulationResult.observability["incidents"]`` and
 :func:`merge_incident_snapshots` can merge them across a sweep.
 
+Rules keep no windows of their own: a :class:`RateRule` is one
+:class:`~repro.obs.stream.RollingRate` count and a
+:class:`SloViolationRule` is two (all serves, violating serves), the
+same aggregators :class:`~repro.obs.stream.StreamMonitor` probes use.
+
 :func:`default_rules` encodes the situations the rest of the repo
 treats as emergencies: sustained over-budget power, brake storms,
 stale-telemetry fallback flapping, cap-reissue churn, and SLO
@@ -32,21 +37,12 @@ violation rate.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.obs.recorder import TraceEvent, TraceRecorder
+from repro.obs.stream import RollingRate
 
 __all__ = [
     "AlertEngine",
@@ -137,19 +133,23 @@ class Incident:
 class AlertRule:
     """Base class: a named, severity-tagged streaming condition.
 
-    Subclasses implement :meth:`observe` (ingest one matching event)
-    and :meth:`level` (current signal value, ``None`` while there is
-    not enough data), plus :meth:`breached`/:meth:`cleared` threshold
-    tests. The :class:`AlertEngine` owns the pending/firing state
-    machine so every rule gets identical for-duration and hysteresis
-    semantics.
+    Subclasses set :attr:`kind` and implement :meth:`observe` (ingest
+    one event of that kind) and :meth:`level` (current signal value,
+    ``None`` while there is not enough data), plus
+    :meth:`breached`/:meth:`cleared` threshold tests. The
+    :class:`AlertEngine` routes events by kind and owns the
+    pending/firing state machine so every rule gets identical
+    for-duration and hysteresis semantics.
 
     Attributes:
         name: Unique rule name (the incident key).
+        kind: The event kind the rule watches.
         severity: One of :data:`SEVERITIES`.
         for_s: How long the condition must hold before firing.
         description: Human-readable condition, shown on incidents.
     """
+
+    kind: str = ""
 
     def __init__(
         self,
@@ -172,7 +172,7 @@ class AlertRule:
         self.description = description
 
     def observe(self, t: float, event: TraceEvent) -> None:
-        """Ingest one event (the engine pre-filters nothing)."""
+        """Ingest one event of :attr:`kind`."""
         raise NotImplementedError
 
     def level(self, now: float) -> Optional[float]:
@@ -231,8 +231,6 @@ class ThresholdRule(AlertRule):
         self._last: Optional[float] = None
 
     def observe(self, t: float, event: TraceEvent) -> None:
-        if event.get("kind") != self.kind:
-            return
         value = event.get(self.field)
         if value is not None:
             self._last = float(value)
@@ -273,8 +271,7 @@ class RateRule(AlertRule):
         severity: str = "warning",
         description: str = "",
     ) -> None:
-        if window_s <= 0:
-            raise ConfigurationError("window_s must be positive")
+        self._window = RollingRate(window_s)
         if max_count < 0:
             raise ConfigurationError("max_count cannot be negative")
         clear = max_count if clear_count is None else int(clear_count)
@@ -291,18 +288,12 @@ class RateRule(AlertRule):
         self.window_s = float(window_s)
         self.max_count = int(max_count)
         self.clear_count = clear
-        self._times: Deque[float] = deque()
 
     def observe(self, t: float, event: TraceEvent) -> None:
-        if event.get("kind") == self.kind:
-            self._times.append(t)
+        self._window.observe(t)
 
     def level(self, now: float) -> Optional[float]:
-        cutoff = now - self.window_s
-        times = self._times
-        while times and times[0] <= cutoff:
-            times.popleft()
-        return float(len(times))
+        return float(self._window.count(now))
 
     def breached(self, value: float) -> bool:
         return value > self.max_count
@@ -322,6 +313,8 @@ class SloViolationRule(AlertRule):
     ``clear_fraction`` (default ``max_fraction``) or lower.
     """
 
+    kind = "serve"
+
     def __init__(
         self,
         name: str,
@@ -338,8 +331,10 @@ class SloViolationRule(AlertRule):
     ) -> None:
         if slo_latency_s <= 0:
             raise ConfigurationError("slo_latency_s must be positive")
-        if window_s <= 0:
-            raise ConfigurationError("window_s must be positive")
+        # Two counts over one window: every serve, and the violating
+        # ones. ``min_samples`` applies to the first.
+        self._serves = RollingRate(window_s)
+        self._violations = RollingRate(window_s)
         if not 0.0 <= max_fraction <= 1.0:
             raise ConfigurationError("max_fraction must be within [0, 1]")
         clear = max_fraction if clear_fraction is None \
@@ -363,28 +358,23 @@ class SloViolationRule(AlertRule):
         self.clear_fraction = clear
         self.min_samples = int(min_samples)
         self.priority = priority
-        self._serves: Deque[Tuple[float, bool]] = deque()
 
     def observe(self, t: float, event: TraceEvent) -> None:
-        if event.get("kind") != "serve":
-            return
         if self.priority is not None \
                 and event.get("priority") != self.priority:
             return
         latency = event.get("latency_s")
         if latency is None:
             return
-        self._serves.append((t, float(latency) > self.slo_latency_s))
+        self._serves.observe(t)
+        if float(latency) > self.slo_latency_s:
+            self._violations.observe(t)
 
     def level(self, now: float) -> Optional[float]:
-        cutoff = now - self.window_s
-        serves = self._serves
-        while serves and serves[0][0] <= cutoff:
-            serves.popleft()
-        if len(serves) < self.min_samples:
+        serves = self._serves.count(now)
+        if serves < self.min_samples:
             return None
-        violations = sum(1 for _, violated in serves if violated)
-        return violations / len(serves)
+        return self._violations.count(now) / serves
 
     def breached(self, value: float) -> bool:
         return value > self.max_fraction
@@ -475,9 +465,12 @@ class AlertEngine(TraceRecorder):
 
     Attach it like any recorder (or replay a stored trace through
     :meth:`replay`); incidents accumulate on :attr:`incidents` in open
-    order. Determinism: the engine is a pure function of the event
-    stream, so replaying a recorded trace yields the identical incident
-    list the live run produced.
+    order. Each event reaches only the rules watching its kind, but
+    every rule is stepped at every timed event (and at
+    :meth:`finalize`), so windows drain and incidents open or resolve
+    at event times exactly. Determinism: the engine is a pure function
+    of the event stream, so replaying a recorded trace yields the
+    identical incident list the live run produced.
     """
 
     def __init__(self, rules: Optional[Sequence[AlertRule]] = None) -> None:
@@ -488,7 +481,9 @@ class AlertEngine(TraceRecorder):
         self.rules: List[AlertRule] = chosen
         self.incidents: List[Incident] = []
         self._states = [_RuleState(rule) for rule in chosen]
-        self._last_t: Optional[float] = None
+        self._by_kind: Dict[str, List[AlertRule]] = {}
+        for rule in chosen:
+            self._by_kind.setdefault(rule.kind, []).append(rule)
 
     @property
     def open_incidents(self) -> List[Incident]:
@@ -500,9 +495,9 @@ class AlertEngine(TraceRecorder):
         if t is None:
             return  # foreign events without a simulation time
         t = float(t)
-        self._last_t = t
+        for rule in self._by_kind.get(event.get("kind"), ()):
+            rule.observe(t, event)
         for state in self._states:
-            state.rule.observe(t, event)
             self._step(state, t)
 
     def _step(self, state: _RuleState, now: float) -> None:
@@ -545,7 +540,6 @@ class AlertEngine(TraceRecorder):
         still holds stay open (``resolved_at = None``) — a run that
         ends in trouble reports it that way.
         """
-        self._last_t = t_end
         for state in self._states:
             self._step(state, t_end)
 
@@ -557,22 +551,10 @@ class AlertEngine(TraceRecorder):
 
     def counts(self) -> Dict[str, Any]:
         """Summary counters (by rule and severity)."""
-        by_rule: Dict[str, int] = {rule.name: 0 for rule in self.rules}
-        by_severity: Dict[str, int] = {}
-        open_count = 0
-        for incident in self.incidents:
-            by_rule[incident.rule] = by_rule.get(incident.rule, 0) + 1
-            by_severity[incident.severity] = \
-                by_severity.get(incident.severity, 0) + 1
-            if incident.open:
-                open_count += 1
-        return {
-            "opened": len(self.incidents),
-            "resolved": len(self.incidents) - open_count,
-            "open": open_count,
-            "by_rule": dict(sorted(by_rule.items())),
-            "by_severity": dict(sorted(by_severity.items())),
-        }
+        return _tally(
+            [incident.to_dict() for incident in self.incidents],
+            [rule.name for rule in self.rules],
+        )
 
     def observability_snapshot(self) -> Optional[Dict[str, Any]]:
         """Incidents plus summary counters, JSON-serializable."""
@@ -596,29 +578,32 @@ def merge_incident_snapshots(
     list, so the result has the same shape as a single snapshot.
     """
     incidents: List[Dict[str, Any]] = []
-    by_rule: Dict[str, int] = {}
+    for snapshot in snapshots:
+        if snapshot and "incidents" in snapshot:
+            incidents.extend(dict(data) for data in snapshot["incidents"])
+    return {"incidents": incidents, "alerts": _tally(incidents)}
+
+
+def _tally(
+    incidents: Sequence[Dict[str, Any]], rules: Iterable[str] = ()
+) -> Dict[str, Any]:
+    """Summary counters over incident dicts; ``rules`` start at 0."""
+    by_rule: Dict[str, int] = {name: 0 for name in rules}
     by_severity: Dict[str, int] = {}
     open_count = 0
-    for snapshot in snapshots:
-        if not snapshot or "incidents" not in snapshot:
-            continue
-        for data in snapshot["incidents"]:
-            incidents.append(dict(data))
-            rule = str(data["rule"])
-            severity = str(data["severity"])
-            by_rule[rule] = by_rule.get(rule, 0) + 1
-            by_severity[severity] = by_severity.get(severity, 0) + 1
-            if data.get("resolved_at") is None:
-                open_count += 1
+    for data in incidents:
+        rule = str(data["rule"])
+        severity = str(data["severity"])
+        by_rule[rule] = by_rule.get(rule, 0) + 1
+        by_severity[severity] = by_severity.get(severity, 0) + 1
+        if data.get("resolved_at") is None:
+            open_count += 1
     return {
-        "incidents": incidents,
-        "alerts": {
-            "opened": len(incidents),
-            "resolved": len(incidents) - open_count,
-            "open": open_count,
-            "by_rule": dict(sorted(by_rule.items())),
-            "by_severity": dict(sorted(by_severity.items())),
-        },
+        "opened": len(incidents),
+        "resolved": len(incidents) - open_count,
+        "open": open_count,
+        "by_rule": dict(sorted(by_rule.items())),
+        "by_severity": dict(sorted(by_severity.items())),
     }
 
 

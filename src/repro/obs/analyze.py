@@ -3,7 +3,9 @@
 The trace a :class:`~repro.obs.recorder.TraceRecorder` captures is only
 trustworthy if it agrees with the simulator's own accounting. This
 module reconstructs the brake and cap lifecycles (the Figure 18 event
-timeline) and the fallback windows from the raw event stream, and
+timeline) and the fallback windows from the raw event stream — one
+:class:`ControlReplay`, which also feeds the span layer's causal
+stamps — and
 :func:`cross_check` re-derives every counter the simulator reports —
 ``power_brake_events``, ``capping_actions``, the full
 :class:`~repro.faults.report.RobustnessReport` ledger, per-tier
@@ -16,14 +18,17 @@ instrumentation bug worth failing a test over.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -39,6 +44,7 @@ __all__ = [
     "BrakeSpan",
     "CapCommand",
     "CheckItem",
+    "ControlReplay",
     "CrossCheckReport",
     "brake_timeline",
     "cap_timeline",
@@ -53,12 +59,13 @@ __all__ = [
 def load_events(source: Any) -> List[TraceEvent]:
     """Normalize a trace source into an event list.
 
-    Accepts a JSONL path, a :class:`~repro.obs.recorder.MemoryRecorder`,
-    or an already-loaded event sequence. Events are returned sorted by
-    ``t`` (stable, so same-time events keep emission order; events
-    without ``t``, which only foreign JSONL carries, sort first).
+    Accepts a JSONL path (``str`` or :class:`os.PathLike`), a
+    :class:`~repro.obs.recorder.MemoryRecorder`, or an already-loaded
+    event sequence. Events are returned sorted by ``t`` (stable, so
+    same-time events keep emission order; events without ``t``, which
+    only foreign JSONL carries, sort first).
     """
-    if isinstance(source, str):
+    if isinstance(source, (str, os.PathLike)):
         events: Sequence[TraceEvent] = read_jsonl(source)
     elif hasattr(source, "events"):
         events = source.events
@@ -111,39 +118,6 @@ class BrakeSpan:
         return self.released_at - self.engaged_at
 
 
-def brake_timeline(events: Sequence[TraceEvent]) -> List[BrakeSpan]:
-    """Reconstruct brake engagements from the event stream.
-
-    The simulator emits lifecycle events only when they take effect
-    (superseded landings are filtered at the source), so the
-    reconstruction is a direct replay of the brake state machine.
-    """
-    spans: List[BrakeSpan] = []
-    open_span: Optional[BrakeSpan] = None
-    for event in events:
-        kind = event.get("kind")
-        if kind == "brake_request":
-            open_span = BrakeSpan(
-                requested_at=float(event["t"]),
-                source=str(event.get("source", "policy")),
-            )
-            spans.append(open_span)
-        elif open_span is None:
-            continue
-        elif kind == "brake_land":
-            if event.get("on"):
-                open_span.engaged_at = float(event["t"])
-            else:
-                open_span.released_at = float(event["t"])
-                open_span = None
-        elif kind == "brake_release_request":
-            open_span.release_requested_at = float(event["t"])
-        elif kind == "brake_cancel_release":
-            open_span.cancelled_releases += 1
-            open_span.release_requested_at = None
-    return spans
-
-
 @dataclass
 class CapCommand:
     """One frequency-cap command lifecycle for a priority group.
@@ -168,57 +142,180 @@ class CapCommand:
     reissues: int = 0
 
 
-def cap_timeline(events: Sequence[TraceEvent]) -> List[CapCommand]:
-    """Reconstruct cap-command lifecycles, in issue order."""
-    by_key: Dict[Tuple[str, int], CapCommand] = {}
-    commands: List[CapCommand] = []
-    for event in events:
+class ControlReplay:
+    """One replay of the row's brake, cap and fallback state machines.
+
+    Fed events in stream order (other kinds are ignored), it keeps the
+    history — brake engagements, cap-command lifecycles and fallback
+    windows, the Figure 18 timeline — and the state at the current
+    instant, from which :class:`~repro.obs.spans.SpanBuilder` stamps
+    who is to blame for a reduced clock (:meth:`cause`). The simulator
+    emits lifecycle events only when they take effect (superseded
+    landings are filtered at the source), so the replay is direct.
+
+    Attributes:
+        brakes: Brake engagements, in request order.
+        caps: Cap commands, in issue order.
+    """
+
+    def __init__(self) -> None:
+        self.brakes: List[BrakeSpan] = []
+        self.caps: List[CapCommand] = []
+        self._brake_on = False
+        # Per priority pool: (ratio, generation) of the last landed cap.
+        self._cap_state: Dict[str, Tuple[float, int]] = {}
+        self._open_brake: Optional[BrakeSpan] = None
+        self._brake_version: Optional[int] = None
+        self._brake_sources: Dict[int, str] = {}
+        self._caps_by_key: Dict[Tuple[str, int], CapCommand] = {}
+        self._fallback_caps: Set[Tuple[str, int]] = set()
+        self._windows: List[Tuple[float, Optional[float]]] = []
+        self._fallback_since: Optional[float] = None
+
+    @classmethod
+    def of(cls, events: Iterable[TraceEvent]) -> "ControlReplay":
+        """Replay a whole event sequence."""
+        replay = cls()
+        for event in events:
+            replay.emit(event)
+        return replay
+
+    def emit(self, event: TraceEvent) -> None:
         kind = event.get("kind")
-        if kind not in ("cap_issue", "cap_land", "cap_verify", "cap_reissue"):
-            continue
+        if kind in _CAP_KINDS:
+            self._on_cap(kind, event)
+        elif kind in _BRAKE_KINDS:
+            self._on_brake(kind, event)
+        elif kind == "fallback_enter" and self._fallback_since is None:
+            self._fallback_since = float(event["t"])
+        elif kind == "fallback_exit" and self._fallback_since is not None:
+            self._windows.append((self._fallback_since, float(event["t"])))
+            self._fallback_since = None
+
+    def _on_brake(self, kind: str, event: TraceEvent) -> None:
+        span = self._open_brake
+        version = event.get("version")
+        if kind == "brake_request":
+            span = BrakeSpan(
+                requested_at=float(event["t"]),
+                source=str(event.get("source", "policy")),
+            )
+            self.brakes.append(span)
+            self._open_brake = span
+        elif kind == "brake_land":
+            self._brake_on = bool(event.get("on"))
+            if self._brake_on:
+                if version is not None:
+                    self._brake_version = int(version)
+                if span is not None:
+                    span.engaged_at = float(event["t"])
+            elif span is not None:
+                span.released_at = float(event["t"])
+                self._open_brake = None
+        elif span is not None and kind == "brake_release_request":
+            span.release_requested_at = float(event["t"])
+        elif span is not None:  # brake_cancel_release
+            span.cancelled_releases += 1
+            span.release_requested_at = None
+        if kind in _SOURCE_KINDS and version is not None:
+            # A cancelled release never disengaged: its new version
+            # inherits the engagement's source.
+            self._brake_sources[int(version)] = (
+                self.brakes[-1].source if self.brakes else "policy"
+            )
+
+    def _on_cap(self, kind: str, event: TraceEvent) -> None:
         key = (str(event["priority"]), int(event["generation"]))
         if kind == "cap_issue":
-            if int(event.get("attempts", 0)) == 0:
-                command = CapCommand(
-                    issued_at=float(event["t"]),
-                    priority=key[0],
-                    clock_mhz=event.get("clock_mhz"),
-                    generation=key[1],
-                )
-                by_key[key] = command
-                commands.append(command)
-            continue
-        command = by_key.get(key)
-        if command is None:
-            continue
-        if kind == "cap_land" and command.landed_at is None:
-            command.landed_at = float(event["t"])
+            if int(event.get("attempts", 0)) != 0:
+                return  # a reliable-command re-dispatch
+            command = CapCommand(
+                issued_at=float(event["t"]), priority=key[0],
+                clock_mhz=event.get("clock_mhz"), generation=key[1],
+            )
+            self._caps_by_key[key] = command
+            self.caps.append(command)
+            if self._fallback_since is not None:
+                self._fallback_caps.add(key)
+            return
+        command = self._caps_by_key.get(key)
+        if kind == "cap_land":
+            if command is not None and command.landed_at is None:
+                command.landed_at = float(event["t"])
+            ratio = event.get("ratio")
+            if ratio is None and event.get("clock_mhz") is not None:
+                return  # pre-span trace without the ratio field
+            self._cap_state[key[0]] = (
+                1.0 if ratio is None else float(ratio), key[1]
+            )
+        elif command is None:
+            return
         elif kind == "cap_verify":
             command.verified = bool(event["ok"])
-        elif kind == "cap_reissue":
+        else:  # cap_reissue
             command.reissues += 1
-    return commands
+
+    def fallback_windows(self) -> List[Tuple[float, Optional[float]]]:
+        """``(entered, exited)`` pairs; ``None`` exit = still inside."""
+        if self._fallback_since is None:
+            return list(self._windows)
+        return self._windows + [(self._fallback_since, None)]
+
+    def cause(
+        self, priority: Optional[str], ratio: float
+    ) -> Tuple[Optional[str], Dict[str, Any]]:
+        """Who makes a server of pool ``priority`` (``None`` when
+        unknown) run at ``ratio`` now: ``(cause, stamp)`` as stored on
+        :class:`~repro.obs.spans.RateInterval`."""
+        if ratio >= 1.0:
+            return None, {}
+        if self._brake_on:
+            version = self._brake_version
+            source = self._brake_sources.get(version, "policy")
+            return "brake", {"version": version, "source": source}
+        state = self._cap_state.get(priority)
+        if priority is None:
+            # Pool unknown (filtered trace): match the capped pool whose
+            # commanded ratio equals the observed one.
+            for pool, pool_state in self._cap_state.items():
+                if pool_state[0] == ratio:
+                    priority, state = pool, pool_state
+                    break
+        generation = None if state is None else state[1]
+        return "cap", {
+            "priority": priority,
+            "generation": generation,
+            "fallback": (priority, generation) in self._fallback_caps,
+        }
+
+
+_BRAKE_KINDS = frozenset((
+    "brake_request", "brake_land", "brake_release_request",
+    "brake_cancel_release",
+))
+_SOURCE_KINDS = frozenset(("brake_request", "brake_cancel_release"))
+_CAP_KINDS = frozenset(("cap_issue", "cap_land", "cap_verify", "cap_reissue"))
+
+
+def brake_timeline(events: Iterable[TraceEvent]) -> List[BrakeSpan]:
+    """Brake engagements, from request to release (see
+    :class:`ControlReplay`)."""
+    return ControlReplay.of(events).brakes
+
+
+def cap_timeline(events: Iterable[TraceEvent]) -> List[CapCommand]:
+    """Cap-command lifecycles, in issue order."""
+    return ControlReplay.of(events).caps
 
 
 def fallback_windows(
-    events: Sequence[TraceEvent],
+    events: Iterable[TraceEvent],
 ) -> List[Tuple[float, Optional[float]]]:
     """Stale-telemetry fallback windows as ``(entered, exited)`` pairs.
 
     An exit of ``None`` means the run ended inside the window.
     """
-    windows: List[Tuple[float, Optional[float]]] = []
-    entered: Optional[float] = None
-    for event in events:
-        kind = event.get("kind")
-        if kind == "fallback_enter" and entered is None:
-            entered = float(event["t"])
-        elif kind == "fallback_exit" and entered is not None:
-            windows.append((entered, float(event["t"])))
-            entered = None
-    if entered is not None:
-        windows.append((entered, None))
-    return windows
+    return ControlReplay.of(events).fallback_windows()
 
 
 def utilization_points(
@@ -553,7 +650,8 @@ def summarize_trace(source: Any) -> List[str]:
         )
     )
 
-    spans = brake_timeline(events)
+    replay = ControlReplay.of(events)
+    spans = replay.brakes
     lines.append(f"brake engagements: {len(spans)}")
     for index, span in enumerate(spans):
         engaged = (
@@ -573,7 +671,7 @@ def summarize_trace(source: Any) -> List[str]:
             f"{engaged}, {released}{extra}"
         )
 
-    commands = cap_timeline(events)
+    commands = replay.caps
     lines.append(f"cap commands: {len(commands)}")
     for command in commands:
         target = (
@@ -597,7 +695,7 @@ def summarize_trace(source: Any) -> List[str]:
             f"{reissued}{suffix}"
         )
 
-    windows = fallback_windows(events)
+    windows = replay.fallback_windows()
     if windows:
         lines.append(f"stale-telemetry fallback windows: {len(windows)}")
         for entered, exited in windows:

@@ -14,7 +14,9 @@ everything downstream is noise. This module localizes that point:
 * :func:`diff_results` does the same over two
   :class:`~repro.cluster.metrics.SimulationResult`\\ s via their codec
   dict forms, reporting a dotted path (``power_series.values[17]``)
-  into the first differing leaf;
+  into the first differing leaf (both walk nested data with
+  :func:`walk_leaves`, the traversal :mod:`repro.obs.regress` also
+  uses for its per-metric verdicts);
 * :func:`format_divergence` renders either for humans (the engine of
   ``examples/trace_inspect.py diff``).
 
@@ -26,7 +28,7 @@ causally divergent decision of the two runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.recorder import TraceEvent
 
@@ -36,6 +38,8 @@ __all__ = [
     "diff_results",
     "diff_traces",
     "format_divergence",
+    "leaves",
+    "walk_leaves",
 ]
 
 
@@ -115,33 +119,42 @@ def diff_traces(
     return None
 
 
-def _walk(path: str, a: Any, b: Any) -> Optional[Tuple[str, Any, Any]]:
-    """Depth-first search for the first differing leaf."""
+#: Marks the side of a leaf pair where a dict key is missing.
+_ABSENT = object()
+
+
+def walk_leaves(
+    a: Any, b: Any, path: str = ""
+) -> Iterator[Tuple[str, Any, Any]]:
+    """Aligned ``(dotted-path, leaf_a, leaf_b)`` pairs of two structures.
+
+    Depth-first, dict keys in sorted order, list items by index. Where
+    only one side has a dict key the pair holds that side's whole value
+    and ``_ABSENT``; where two lists differ in length the common prefix
+    is walked and then one ``path.length`` pair carries both lengths.
+    Walking a structure against itself (:func:`leaves`) yields every
+    leaf exactly once.
+    """
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            if key not in a or key not in b:
-                return (
-                    f"{path}.{key}" if path else str(key),
-                    a.get(key, "<absent>"),
-                    b.get(key, "<absent>"),
-                )
-            found = _walk(
-                f"{path}.{key}" if path else str(key), a[key], b[key]
-            )
-            if found is not None:
-                return found
-        return None
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        for i, (va, vb) in enumerate(zip(a, b)):
-            found = _walk(f"{path}[{i}]", va, vb)
-            if found is not None:
-                return found
+            child = f"{path}.{key}" if path else str(key)
+            if key in a and key in b:
+                yield from walk_leaves(a[key], b[key], child)
+            else:
+                yield child, a.get(key, _ABSENT), b.get(key, _ABSENT)
+    elif isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        for index, (item_a, item_b) in enumerate(zip(a, b)):
+            yield from walk_leaves(item_a, item_b, f"{path}[{index}]")
         if len(a) != len(b):
-            return (f"{path}.length", len(a), len(b))
-        return None
-    if a != b:
-        return (path, a, b)
-    return None
+            yield f"{path}.length", len(a), len(b)
+    else:
+        yield path, a, b
+
+
+def leaves(value: Any) -> Iterator[Tuple[str, Any]]:
+    """Every ``(dotted-path, leaf)`` of one structure, walk order."""
+    for path, leaf, _ in walk_leaves(value, value):
+        yield path, leaf
 
 
 def diff_dicts(a: Any, b: Any) -> Optional[Divergence]:
@@ -153,11 +166,14 @@ def diff_dicts(a: Any, b: Any) -> Optional[Divergence]:
     dotted path (``serial.wall_s``, ``grid.combos[2]``) into the first
     differing leaf in sorted-key, depth-first order.
     """
-    found = _walk("", a, b)
-    if found is None:
-        return None
-    path, value_a, value_b = found
-    return Divergence(index=-1, field=path, a=value_a, b=value_b)
+    for path, value_a, value_b in walk_leaves(a, b):
+        if value_a is _ABSENT or value_b is _ABSENT or value_a != value_b:
+            return Divergence(
+                index=-1, field=path,
+                a="<absent>" if value_a is _ABSENT else value_a,
+                b="<absent>" if value_b is _ABSENT else value_b,
+            )
+    return None
 
 
 def diff_results(result_a: Any, result_b: Any) -> Optional[Divergence]:
@@ -173,11 +189,7 @@ def diff_results(result_a: Any, result_b: Any) -> Optional[Divergence]:
     # must not require at import time (repro.obs has no exec dependency).
     from repro.exec.codec import result_to_dict
 
-    found = _walk("", result_to_dict(result_a), result_to_dict(result_b))
-    if found is None:
-        return None
-    path, a, b = found
-    return Divergence(index=-1, field=path, a=a, b=b)
+    return diff_dicts(result_to_dict(result_a), result_to_dict(result_b))
 
 
 def format_divergence(

@@ -18,8 +18,9 @@ baseline under **per-metric tolerance policies**:
 
 Policies are ``(glob-pattern, Tolerance)`` pairs matched against the
 dotted path of each leaf (``serial.wall_s``, ``grid.unique_runs``), the
-same addresses :func:`repro.obs.diff.diff_dicts` reports — the sentinel
-reuses that walker for its first-divergent-metric headline.
+same addresses :func:`repro.obs.diff.diff_dicts` reports: both come
+from the one walker, :func:`repro.obs.diff.walk_leaves`, which the
+sentinel also uses for its first-divergent-metric headline.
 
 Entry points:
 
@@ -41,18 +42,10 @@ import shutil
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from pathlib import Path
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.diff import Divergence, diff_dicts
+from repro.obs.diff import Divergence, diff_dicts, leaves
 
 __all__ = [
     "DEFAULT_NOISE_FLOOR",
@@ -258,19 +251,6 @@ class RegressionReport:
         return lines
 
 
-def _leaves(value: Any, path: str = "") -> Iterator[Tuple[str, Any]]:
-    """Depth-first ``(dotted-path, leaf)`` pairs in sorted-key order."""
-    if isinstance(value, dict):
-        for key in sorted(value):
-            child = f"{path}.{key}" if path else str(key)
-            yield from _leaves(value[key], child)
-    elif isinstance(value, (list, tuple)):
-        for index, item in enumerate(value):
-            yield from _leaves(item, f"{path}[{index}]")
-    else:
-        yield path, value
-
-
 def compare_metrics(
     baseline: Dict[str, Any],
     current: Dict[str, Any],
@@ -283,8 +263,8 @@ def compare_metrics(
     (``"missing"``); leaves only in ``current`` are informational
     (``"added"`` — a new metric cannot regress).
     """
-    base_leaves = dict(_leaves(baseline))
-    cur_leaves = dict(_leaves(current))
+    base_leaves = dict(leaves(baseline))
+    cur_leaves = dict(leaves(current))
     report = RegressionReport(
         name=name, baseline=baseline, current=current,
     )

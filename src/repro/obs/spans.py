@@ -18,19 +18,21 @@ post-hoc with :func:`build_spans`. Like every recorder it only observes —
 it never touches simulator state, so recorded runs stay bit-identical to
 unrecorded ones.
 
-The causal stamping is derived from the builder's *own* replay of the
-cap/brake state machines (not from the rescale event's trigger alone):
-when a brake releases over a still-capped pool, the interval that opens
-is correctly blamed on the underlying cap, and caps commanded during a
-stale-telemetry fallback window are flagged so attribution can charge
-them to the fallback, not the capping policy.
+The causal stamping is derived from a replay of the cap/brake state
+machines (not from the rescale event's trigger alone) — the same
+:class:`~repro.obs.analyze.ControlReplay` that rebuilds the Figure 18
+timelines: when a brake releases over a still-capped pool, the interval
+that opens is correctly blamed on the underlying cap, and caps
+commanded during a stale-telemetry fallback window are flagged so
+attribution can charge them to the fallback, not the capping policy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.analyze import ControlReplay, load_events
 from repro.obs.recorder import TraceEvent, TraceRecorder
 
 __all__ = [
@@ -193,25 +195,25 @@ class SpanBuilder(TraceRecorder):
         #: transitions) retained verbatim so exporters fed a live
         #: builder can still draw the row-control track.
         self.control_events: List[TraceEvent] = []
+        # The replayed cap/brake/fallback state machines behind the
+        # causal stamps.
+        self._control = ControlReplay()
         self._spans: Dict[int, RequestSpan] = {}
         self._open_phase: Dict[int, PhaseSpan] = {}
-        # Replayed cap/brake state machines for causal stamping.
-        self._brake_on = False
-        self._brake_version: Optional[int] = None
-        self._brake_sources: Dict[int, str] = {}
-        self._engage_source = "policy"
-        self._cap_state: Dict[str, Tuple[float, Optional[int]]] = {}
-        self._fallback_generations: Set[Tuple[str, int]] = set()
-        self._in_fallback = False
         self._server_priority: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # TraceRecorder interface
     # ------------------------------------------------------------------
     def emit(self, event: TraceEvent) -> None:
-        handler = self._HANDLERS.get(event.get("kind"))
+        kind = event.get("kind")
+        handler = self._HANDLERS.get(kind)
         if handler is not None:
             handler(self, event)
+            return
+        if kind in _CONTROL_INSTANTS:
+            self.control_events.append(dict(event))
+        self._control.emit(event)
 
     def finalize(self, t_end: float) -> None:
         self.t_end = float(t_end)
@@ -236,8 +238,6 @@ class SpanBuilder(TraceRecorder):
         """Build from a JSONL path, recorder, or event sequence."""
         if isinstance(source, SpanBuilder):
             return source
-        from repro.obs.analyze import load_events
-
         builder = cls()
         for event in load_events(source):
             builder.emit(event)
@@ -370,82 +370,13 @@ class SpanBuilder(TraceRecorder):
         span.drop_device = event.get("device")
         span.end_t = t
 
-    def _on_brake_request(self, event: TraceEvent) -> None:
-        self._engage_source = str(event.get("source", "policy"))
-        self._brake_sources[int(event["version"])] = self._engage_source
-
-    def _on_brake_cancel_release(self, event: TraceEvent) -> None:
-        # The brake never disengaged; the new version inherits the
-        # original engagement's source.
-        self._brake_sources[int(event["version"])] = self._engage_source
-
-    def _on_brake_land(self, event: TraceEvent) -> None:
-        self.control_events.append(dict(event))
-        if event.get("on"):
-            self._brake_on = True
-            self._brake_version = int(event["version"])
-        else:
-            self._brake_on = False
-
-    def _on_cap_issue(self, event: TraceEvent) -> None:
-        if int(event.get("attempts", 0)) == 0 and self._in_fallback:
-            self._fallback_generations.add(
-                (str(event["priority"]), int(event["generation"]))
-            )
-
-    def _on_cap_land(self, event: TraceEvent) -> None:
-        self.control_events.append(dict(event))
-        ratio = event.get("ratio")
-        if ratio is None:
-            if event.get("clock_mhz") is not None:
-                return  # pre-span trace without the ratio field
-            ratio = 1.0
-        self._cap_state[str(event["priority"])] = (
-            float(ratio), int(event["generation"])
-        )
-
-    def _on_fallback_enter(self, event: TraceEvent) -> None:
-        self.control_events.append(dict(event))
-        self._in_fallback = True
-
-    def _on_fallback_exit(self, event: TraceEvent) -> None:
-        self.control_events.append(dict(event))
-        self._in_fallback = False
-
     def _current_cause(
         self, server: Any, ratio: float
     ) -> Tuple[Optional[str], Dict[str, Any]]:
         """Who is responsible for running at ``ratio`` right now."""
-        if ratio >= 1.0:
-            return None, {}
-        if self._brake_on:
-            version = self._brake_version
-            source = "policy"
-            if version is not None:
-                source = self._brake_sources.get(version, "policy")
-            return "brake", {"version": version, "source": source}
-        priority = self._server_priority.get(str(server))
-        state = None
-        if priority is not None:
-            state = self._cap_state.get(priority)
-        else:
-            # No run_meta (filtered trace): match the capped pool whose
-            # commanded ratio equals the observed one.
-            for pool, pool_state in self._cap_state.items():
-                if pool_state[0] == ratio:
-                    priority, state = pool, pool_state
-                    break
-        if state is None:
-            return "cap", {
-                "priority": priority, "generation": None, "fallback": False,
-            }
-        generation = state[1]
-        in_fallback = (priority, generation) in self._fallback_generations
-        return "cap", {
-            "priority": priority,
-            "generation": generation,
-            "fallback": in_fallback,
-        }
+        return self._control.cause(
+            self._server_priority.get(str(server)), ratio
+        )
 
     _HANDLERS = {
         "run_meta": _on_run_meta,
@@ -455,14 +386,13 @@ class SpanBuilder(TraceRecorder):
         "phase_rescale": _on_phase_rescale,
         "serve": _on_serve,
         "drop": _on_drop,
-        "brake_request": _on_brake_request,
-        "brake_cancel_release": _on_brake_cancel_release,
-        "brake_land": _on_brake_land,
-        "cap_issue": _on_cap_issue,
-        "cap_land": _on_cap_land,
-        "fallback_enter": _on_fallback_enter,
-        "fallback_exit": _on_fallback_exit,
     }
+
+
+#: Control-plane kinds :attr:`SpanBuilder.control_events` retains.
+_CONTROL_INSTANTS = frozenset(
+    ("brake_land", "cap_land", "fallback_enter", "fallback_exit")
+)
 
 
 def build_spans(source: Any) -> List[RequestSpan]:

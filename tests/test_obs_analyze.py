@@ -25,11 +25,14 @@ from repro.faults import (
 from repro.obs import (
     JsonlRecorder,
     MemoryRecorder,
+    attribute_run,
     brake_timeline,
+    build_spans,
     cap_timeline,
     cross_check,
     fallback_windows,
     load_events,
+    render_chrome_trace,
     summarize_trace,
     utilization_points,
 )
@@ -245,6 +248,22 @@ class TestLoadAndSummarize:
         assert from_recorder == from_path == from_list
         times = [e["t"] for e in from_recorder]
         assert times == sorted(times)
+
+    def test_every_loader_accepts_a_pathlib_path(self, tmp_path):
+        """A ``Path`` (what ``TraceCollector.segment_path`` returns)
+        works wherever a ``str`` path does."""
+        recorder, result = traced_run(duration_s=120.0)
+        path = tmp_path / "trace.jsonl"
+        with JsonlRecorder(str(path)) as sink:
+            for event in recorder.events:
+                sink.emit(event)
+        assert load_events(path) == load_events(str(path))
+        assert cross_check(path, result).ok
+        assert summarize_trace(path) == summarize_trace(str(path))
+        assert build_spans(path) == build_spans(str(path))
+        assert render_chrome_trace(path) == render_chrome_trace(str(path))
+        assert attribute_run(path).snapshot() \
+            == attribute_run(str(path)).snapshot()
 
     def test_engine_events_sort_before_simulation_events(self):
         events = [

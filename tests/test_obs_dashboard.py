@@ -241,6 +241,34 @@ class TestPanels:
         assert html.count("<tr>") == 2  # header + one group
         assert "<polyline" in html  # the wall-time sparkline
 
+    def test_victims_panel_ranks_by_excess(self):
+        from repro.obs import MemoryRecorder, attribute_run, top_victims
+        from tests.test_obs import run_reference
+
+        recorder = MemoryRecorder()
+        run_reference("polca-oversubscribed", recorder=recorder)
+        report = attribute_run(recorder)
+        victims = top_victims(report, n=3)
+        dash = Dashboard()
+        dash.add_victims_panel(report, n=3)
+        html = dash.render()
+        assert "Top slowdown victims" in html
+        assert "dominant cause" in html
+        assert html.count("<tr>") == 1 + len(victims)
+        worst = victims[0]
+        assert f"{float(worst.exact_excess):.3f}" in html
+        cause, _ = min(worst.by_action_s.items(),
+                       key=lambda kv: (-kv[1], kv[0]))
+        assert cause in html
+
+    def test_victims_panel_without_requests_degrades(self):
+        class EmptyReport:
+            requests = []
+
+        dash = Dashboard()
+        dash.add_victims_panel(EmptyReport())
+        assert "nothing to show" in dash.render()
+
     def test_empty_ledger_degrades(self):
         dash = Dashboard()
         dash.add_ledger_panel([])

@@ -6,10 +6,22 @@ be the true first difference — every event before it equal, the event
 at it unequal — with the differing field and both values surfaced.
 """
 
+import copy
+import re
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.core.baselines import NoCapPolicy
-from repro.obs import MemoryRecorder, diff_traces
-from repro.obs.diff import Divergence, diff_results, format_divergence
+from repro.obs import MemoryRecorder, compare_metrics, diff_traces
+from repro.obs.diff import (
+    Divergence,
+    diff_dicts,
+    diff_results,
+    format_divergence,
+    leaves,
+)
 from tests.test_obs import make_requests
 
 
@@ -150,3 +162,55 @@ class TestFormatDivergence:
         )
         assert lines[0] == "results diverge"
         assert "  field: total_energy_j" in lines
+
+
+# ----------------------------------------------------------------------
+# One walker: diff_dicts and compare_metrics agree on every structure
+# ----------------------------------------------------------------------
+_KEYS = st.text(alphabet="abcxyz_", min_size=1, max_size=3)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+class TestOneLeafWalker:
+    @settings(max_examples=200, deadline=None)
+    @given(tree=st.dictionaries(_KEYS, _TREES, max_size=4))
+    def test_a_structure_matches_itself(self, tree):
+        assert diff_dicts(tree, tree) is None
+        report = compare_metrics(tree, tree)
+        assert report.ok and report.diffs == []
+        assert report.checked == len(list(leaves(tree)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(tree=st.dictionaries(_KEYS, _TREES, min_size=1, max_size=4),
+           data=st.data())
+    def test_one_changed_leaf_is_reported_at_one_path(self, tree, data):
+        paths = [path for path, _ in leaves(tree)]
+        assume(paths)
+        target = data.draw(st.sampled_from(paths))
+        changed = copy.deepcopy(tree)
+        _set_leaf(changed, target, "<changed>")
+        divergence = diff_dicts(tree, changed)
+        assert divergence is not None and divergence.field == target
+        report = compare_metrics(tree, changed)
+        assert [d.path for d in report.regressions] == [target]
+
+
+def _set_leaf(tree, path, value):
+    """Replace the leaf at a dotted ``walk_leaves`` path."""
+    parts = re.findall(r"\[(\d+)\]|([^.\[\]]+)", path)
+    node = tree
+    steps = [int(index) if index else key for index, key in parts]
+    for step in steps[:-1]:
+        node = node[step]
+    node[steps[-1]] = value

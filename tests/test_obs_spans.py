@@ -227,6 +227,35 @@ class TestSpanReconstruction:
         kinds = [e["kind"] for e in builder.control_events]
         assert kinds == ["cap_land", "brake_land", "brake_land"]
 
+    def test_shed_deferral_keeps_the_original_arrival(self):
+        """Deferrals before ``req_arrival`` open the span: its arrival
+        stays the first deferral, so the defer delay lands in queue
+        wait, as in the simulator's latency accounting."""
+        defers = [
+            {"t": 0.25, "kind": "shed_defer", "request_id": 0,
+             "priority": "low", "workload": "Chat", "delay_s": 0.25,
+             "deferrals": 1},
+            {"t": 0.5, "kind": "shed_defer", "request_id": 0,
+             "priority": "low", "workload": "Chat", "delay_s": 0.25,
+             "deferrals": 2},
+        ]
+        events = simple_request_events()
+        (span,) = build_spans(events[:1] + defers + events[1:])
+        assert span.deferrals == 2
+        assert span.arrival_t == 0.25
+        assert span.queue_wait_s == 0.75
+        assert span.outcome == "served" and span.workload == "Chat"
+        assert "  deferred 2x by load shedding" in render_span_tree(span)
+
+    def test_shed_deferral_without_arrival_counts_itself(self):
+        builder = SpanBuilder()
+        builder.emit({"t": 3.0, "kind": "shed_defer", "request_id": 4,
+                      "priority": "high", "workload": "Search"})
+        builder.emit({"t": 3.5, "kind": "shed_defer", "request_id": 4})
+        span = builder.get(4)
+        assert span.deferrals == 2 and span.arrival_t == 3.0
+        assert span.priority == "high" and span.outcome == "in_flight"
+
     def test_finalize_records_t_end(self):
         builder = SpanBuilder()
         assert builder.t_end is None
