@@ -37,7 +37,11 @@ import numpy as np
 
 from repro.analysis.timeseries import TimeSeries
 from repro.cluster.events import Entry, EventQueue
-from repro.cluster.metrics import PriorityMetrics, SimulationResult
+from repro.cluster.metrics import (
+    PRIORITIES,
+    ServeLogBuilder,
+    SimulationResult,
+)
 from repro.cluster.policy_base import GroupCaps, PowerPolicy
 from repro.cluster.server_sim import ServerSim
 from repro.control.actions import ActionKind, ControlAction
@@ -350,8 +354,7 @@ class SimulationCore:
             })
 
         self.queue = EventQueue()
-        self.metrics = {p: PriorityMetrics() for p in Priority}
-        self.workload_metrics: Dict[str, PriorityMetrics] = {}
+        self.serves = ServeLogBuilder()
 
         # Running row power; server powers are piecewise constant, which
         # also makes the energy integral exact: accumulate power x dt at
@@ -570,13 +573,6 @@ class SimulationCore:
         if self.prot is not None:
             for push in self.prot.update_server_power(now, index, new_power):
                 self.queue.push(*push)
-
-    def _workload_tier(self, name: str) -> PriorityMetrics:
-        tier = self.workload_metrics.get(name)
-        if tier is None:
-            tier = PriorityMetrics()
-            self.workload_metrics[name] = tier
-        return tier
 
     # ------------------------------------------------------------------
     # Request lifecycle helpers
@@ -1005,15 +1001,13 @@ class SimulationCore:
                 self._emit_phase_start(now, index, slot)
             return
         # Request complete; the slot is free again.
-        tier = self.metrics[finished.priority]
-        tier.served += 1
-        tier.latencies.append(now - finished.arrival_time)
-        by_workload = self._workload_tier(finished.workload.name)
-        by_workload.served += 1
-        by_workload.latencies.append(now - finished.arrival_time)
+        self.serves.serve(
+            finished.priority, finished.workload.name,
+            now - finished.arrival_time,
+        )
         if self.recording:
             # Latency histograms batch-populate at finalize from the
-            # tier latency lists appended above.
+            # serve log appended above.
             self._ctr_served.inc()
             if self._rec_serve:
                 self.recorder.emit({
@@ -1383,8 +1377,7 @@ class SimulationCore:
         first; churn and trip drops strike requests in flight and name
         the ``server`` (and ``device``) in ``where``.
         """
-        self.metrics[request.priority].dropped += 1
-        self._workload_tier(request.workload.name).dropped += 1
+        self.serves.drop(request.priority, request.workload.name)
         if not self.recording:
             return
         self._ctr_dropped.inc()
@@ -1418,17 +1411,26 @@ class SimulationCore:
                 offered_by_priority[request.priority] += 1
                 offered_by_workload[request.workload.name] = \
                     offered_by_workload.get(request.workload.name, 0) + 1
-        for priority, tier in self.metrics.items():
-            if tier.served + tier.dropped != offered_by_priority[priority]:
+        log = self.serves.build()
+        by_priority = log.priority_index()
+        by_workload = log.workload_index()
+        served = np.bincount(by_priority, minlength=len(PRIORITIES))
+        for index, priority in enumerate(PRIORITIES):
+            dropped = log.dropped_by_priority[index]
+            if served[index] + dropped != offered_by_priority[priority]:
                 raise SimulationError(
                     "request accounting violated for priority "
-                    f"{priority.value}: served {tier.served} + dropped "
-                    f"{tier.dropped} != offered "
+                    f"{priority.value}: served {served[index]} + dropped "
+                    f"{dropped} != offered "
                     f"{offered_by_priority[priority]}"
                 )
+        served = np.bincount(by_workload, minlength=len(log.workloads))
+        accounted_by_workload = {
+            name: int(served[index]) + log.dropped_by_workload[index]
+            for index, name in enumerate(log.workloads)
+        }
         for name, offered in offered_by_workload.items():
-            tier = self.workload_metrics.get(name)
-            accounted = 0 if tier is None else tier.served + tier.dropped
+            accounted = accounted_by_workload.get(name, 0)
             if accounted != offered:
                 raise SimulationError(
                     f"request accounting violated for workload {name}: "
@@ -1460,18 +1462,19 @@ class SimulationCore:
         if self.recording:
             obs = self.obs
             # Batch-populate the latency and utilization histograms
-            # from the lists the hot path appended to. Batch order
-            # equals observation order, so the snapshot matches what
-            # per-event observes would have produced (the sums up to
-            # pairwise-summation ulps).
+            # from what the hot path appended. Masking the serve log
+            # keeps serve order, so each batch is in observation order
+            # and the snapshot matches what per-event observes would
+            # have produced (the sums up to pairwise-summation ulps).
             self.util_hist.observe_many(self._util_samples)
-            for priority, tier in self.metrics.items():
-                self.latency_hists[priority].observe_many(tier.latencies)
-            for name, wl_tier in self.workload_metrics.items():
-                if wl_tier.latencies:
-                    self._workload_hist(name).observe_many(
-                        wl_tier.latencies
-                    )
+            for index, priority in enumerate(PRIORITIES):
+                self.latency_hists[priority].observe_many(
+                    log.latencies[by_priority == index]
+                )
+            for index, name in enumerate(log.workloads):
+                latencies = log.latencies[by_workload == index]
+                if len(latencies):
+                    self._workload_hist(name).observe_many(latencies)
             obs.counter("telemetry.ticks").inc(self.sample_cursor)
             if self.sample_cursor:
                 obs.gauge("power.peak_row_w").set(
@@ -1498,13 +1501,12 @@ class SimulationCore:
             else:
                 observability["sim_core"] = sim_core
         return SimulationResult(
-            per_priority=self.metrics,
+            serve_log=log,
             power_series=series,
             provisioned_power_w=config.provisioned_power_w,
             power_brake_events=self.brake_events,
             capping_actions=self.capping_actions,
             duration_s=duration_s,
-            per_workload=self.workload_metrics,
             total_energy_j=self.total_energy,
             robustness=report,
             observability=observability,

@@ -17,15 +17,18 @@ least-recently-used eviction (access order is tracked per process and
 seeded from file mtimes on startup), and the evict/byte counters are
 part of :attr:`stats`.
 
-A result entry is :func:`~repro.exec.codec.result_to_dict` with its
-three kinds of float array — each ``latencies`` list under
-``per_priority`` and ``per_workload``, and ``power_series.values`` —
-packed as ``{"f64": "<base64 of little-endian float64 bytes>"}``, so a
-load decodes them with ``np.frombuffer`` instead of parsing decimal
-text. The round trip is exact to the bit, and nothing is unpickled or
-executed. Entries whose arrays are plain JSON lists still load. An
-entry that is corrupt, truncated, vanished or unreadable is a miss,
-never an exception.
+A result entry is the log form of
+:func:`~repro.exec.codec.result_to_dict` — the result's one serve log,
+holding each latency once — with its three arrays packed as base64 of
+little-endian bytes: ``serve_log.latencies`` as ``{"f64": "…"}``,
+``serve_log.codes`` as ``{"u8": "…"}`` (wider codes as ``u16`` or
+``u32``), and ``power_series.values`` as ``{"f64": "…"}``. A load
+decodes them with ``np.frombuffer`` instead of parsing decimal text.
+The round trip is exact to the bit, and nothing is unpickled or
+executed. List-form entries of schemas 5 and 6 still load, with their
+latency lists packed or as plain JSON lists. An entry that is corrupt,
+truncated, vanished, unreadable or inconsistent is a miss, never an
+exception.
 """
 
 from __future__ import annotations
@@ -43,48 +46,53 @@ from repro.errors import ConfigurationError
 from repro.exec.codec import result_from_dict, result_to_dict
 
 
-#: Key of a packed float64 array in a disk result entry.
-_PACKED = "f64"
+#: Packed-array tag -> dtype of its little-endian bytes.
+_PACKED = {"f64": "<f8", "u8": "<u1", "u16": "<u2", "u32": "<u4"}
 
 
-def _pack(values: Any) -> Dict[str, str]:
-    raw = np.asarray(values, dtype="<f8").tobytes()
-    return {_PACKED: base64.b64encode(raw).decode("ascii")}
+def _pack(values: np.ndarray) -> Dict[str, str]:
+    tag = f"{values.dtype.kind}{8 * values.dtype.itemsize}"
+    raw = values.astype(_PACKED[tag], copy=False).tobytes()
+    return {tag: base64.b64encode(raw).decode("ascii")}
 
 
-def _unpack(field: Any, as_list: bool) -> Union[list, np.ndarray]:
-    """Decode one packed array; the older plain JSON list passes through."""
+def _unpack(field: Any) -> Union[list, np.ndarray]:
+    """Decode one packed array; a plain JSON list passes through."""
     if isinstance(field, list):
         return field
     if not isinstance(field, dict):
-        raise TypeError(f"float array field is a {type(field).__name__}")
-    raw = base64.b64decode(field[_PACKED], validate=True)
-    values = np.frombuffer(raw, dtype="<f8")
+        raise TypeError(f"packed array field is a {type(field).__name__}")
+    (tag, text), = field.items()
+    raw = base64.b64decode(text, validate=True)
+    dtype = _PACKED[tag]
     # frombuffer gives a read-only view of ``raw``; astype copies it into
     # a writable native-endian array like a freshly simulated one.
-    return values.tolist() if as_list else values.astype(np.float64)
-
-
-def _metric_groups(data: Dict[str, Any]):
-    yield from data["per_priority"].values()
-    yield from data["per_workload"].values()
+    return np.frombuffer(raw, dtype=dtype).astype(dtype[1:])
 
 
 def _pack_arrays(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Pack an encoded result's float arrays in place (see module doc)."""
-    for metrics in _metric_groups(data):
-        metrics["latencies"] = _pack(metrics["latencies"])
+    """Pack a log-form result's arrays in place (see module doc)."""
+    log = data["serve_log"]
+    log["latencies"] = _pack(log["latencies"])
+    log["codes"] = _pack(log["codes"])
     series = data["power_series"]
     series["values"] = _pack(series["values"])
     return data
 
 
 def _unpack_arrays(data: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`_pack_arrays`, in place."""
-    for metrics in _metric_groups(data):
-        metrics["latencies"] = _unpack(metrics["latencies"], as_list=True)
+    """Inverse of :func:`_pack_arrays`, in place; also unpacks the
+    latency lists of a list-form entry."""
+    if "serve_log" in data:
+        log = data["serve_log"]
+        log["latencies"] = _unpack(log["latencies"])
+        log["codes"] = _unpack(log["codes"])
+    else:
+        for group in ("per_priority", "per_workload"):
+            for metrics in data[group].values():
+                metrics["latencies"] = _unpack(metrics["latencies"])
     series = data["power_series"]
-    series["values"] = _unpack(series["values"], as_list=False)
+    series["values"] = _unpack(series["values"])
     return data
 
 
@@ -223,7 +231,9 @@ class RunCache:
         if self.cache_dir is not None:
             self._write_bounded(
                 self._path(digest),
-                json.dumps(_pack_arrays(result_to_dict(result))).encode(),
+                json.dumps(_pack_arrays(
+                    result_to_dict(result, serve_log=True)
+                )).encode(),
             )
 
     # ------------------------------------------------------------------

@@ -65,7 +65,10 @@ from repro.obs.recorder import TraceRecorder
 #: for requests, a count for the pre-sorted stream, no policy) and the
 #: tape stores its :class:`StepRecord`\ s as plain tuples. Schema 5:
 #: the tape holds no event stream (recorded runs execute cold).
-INCREMENTAL_SCHEMA = 5
+#: Schema 6: checkpoints hold the core's serve log
+#: (:class:`~repro.cluster.metrics.ServeLogBuilder`) in place of its
+#: per-priority and per-workload metric dicts.
+INCREMENTAL_SCHEMA = 6
 
 
 def family_digest(spec: RunSpec) -> str:

@@ -119,10 +119,10 @@ class Histogram:
         :meth:`observe` calls would produce; the sum is accumulated with
         numpy's pairwise summation, so it can differ from the sequential
         sum in the last ulp. The instrumented simulator batches its
-        per-request latency and per-tick utilization lists through here
+        per-request latencies and per-tick utilizations through here
         at finalize instead of paying a per-event call on the hot path.
         """
-        if not values:
+        if len(values) == 0:
             return
         import numpy as np  # deferred: only batch callers pay the import
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.report import polca_report, render_table
 from repro.analysis.timeseries import TimeSeries
-from repro.cluster.metrics import PriorityMetrics, SimulationResult
+from repro.cluster.metrics import ServeLogBuilder, SimulationResult
 from repro.errors import ConfigurationError
 from repro.workloads.spec import Priority
 
@@ -102,12 +102,12 @@ class TestMarkdownEscaping:
 
 
 def _result(p50, brakes=0):
-    metrics = {
-        p: PriorityMetrics(latencies=[p50] * 100, served=100)
-        for p in Priority
-    }
+    log = ServeLogBuilder()
+    for priority in Priority:
+        for _ in range(100):
+            log.serve(priority, "Chat", p50)
     return SimulationResult(
-        per_priority=metrics,
+        serve_log=log.build(),
         power_series=TimeSeries(start=0, interval=2,
                                 values=np.full(10, 150_000.0)),
         provisioned_power_w=200_000.0,

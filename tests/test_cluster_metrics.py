@@ -4,21 +4,27 @@ import numpy as np
 import pytest
 
 from repro.analysis.timeseries import TimeSeries
-from repro.cluster.metrics import PriorityMetrics, SimulationResult
+from repro.cluster.metrics import (
+    PriorityMetrics,
+    ServeLog,
+    ServeLogBuilder,
+    SimulationResult,
+)
 from repro.errors import ConfigurationError
 from repro.workloads.spec import Priority
 
 
 def make_result(low_latencies, high_latencies, power, provisioned=1000.0,
-                brakes=0):
-    per_priority = {
-        Priority.LOW: PriorityMetrics(latencies=list(low_latencies),
-                                      served=len(low_latencies)),
-        Priority.HIGH: PriorityMetrics(latencies=list(high_latencies),
-                                       served=len(high_latencies)),
-    }
+                brakes=0, low_dropped=0):
+    log = ServeLogBuilder()
+    for latency in low_latencies:
+        log.serve(Priority.LOW, "Summarize", latency)
+    for latency in high_latencies:
+        log.serve(Priority.HIGH, "Search", latency)
+    for _ in range(low_dropped):
+        log.drop(Priority.LOW, "Summarize")
     return SimulationResult(
-        per_priority=per_priority,
+        serve_log=log.build(),
         power_series=TimeSeries(start=0, interval=2.0,
                                 values=np.asarray(power, dtype=float)),
         provisioned_power_w=provisioned,
@@ -53,8 +59,8 @@ class TestSimulationResult:
 
     def test_normalized_throughput(self):
         baseline = make_result([1.0] * 10, [1.0] * 10, [1.0])
-        mine = make_result([1.0] * 10, [1.0] * 10, [1.0])
-        mine.per_priority[Priority.LOW].dropped = 10  # 50% served
+        mine = make_result([1.0] * 10, [1.0] * 10, [1.0],
+                           low_dropped=10)  # 50% served
         assert mine.normalized_throughput(Priority.LOW, baseline) == \
             pytest.approx(0.5)
 
@@ -71,3 +77,74 @@ class TestSimulationResult:
     def test_brake_count_surfaces(self):
         result = make_result([1.0], [1.0], [1.0], brakes=3)
         assert result.power_brake_events == 3
+
+
+def _log(*events):
+    builder = ServeLogBuilder()
+    for event in events:
+        if len(event) == 3:
+            builder.serve(*event)
+        else:
+            builder.drop(*event)
+    return builder.build()
+
+
+class TestServeLog:
+    def test_views_keep_serve_order_and_first_touch(self):
+        log = _log(
+            (Priority.HIGH, "Chat", 3.0),
+            (Priority.LOW, "Idle"),
+            (Priority.LOW, "Summarize", 1.0),
+            (Priority.LOW, "Chat", 2.0),
+            (Priority.HIGH, "Chat", 0.5),
+        )
+        assert log.workloads == ("Chat", "Idle", "Summarize")
+        assert log.latencies.tolist() == [3.0, 1.0, 2.0, 0.5]
+        assert log.codes.dtype == np.uint8
+        by_priority = log.per_priority()
+        assert list(by_priority) == [Priority.LOW, Priority.HIGH]
+        assert by_priority[Priority.LOW] == PriorityMetrics([1.0, 2.0], 2, 1)
+        assert by_priority[Priority.HIGH] == PriorityMetrics([3.0, 0.5], 2, 0)
+        assert log.per_workload() == {
+            "Chat": PriorityMetrics([3.0, 2.0, 0.5], 3, 0),
+            "Idle": PriorityMetrics([], 0, 1),
+            "Summarize": PriorityMetrics([1.0], 1, 0),
+        }
+
+    def test_many_workloads_widen_the_codes(self):
+        builder = ServeLogBuilder()
+        for index in range(200):
+            builder.serve(Priority.HIGH, f"w{index}", float(index))
+        log = builder.build()
+        assert log.codes.dtype == np.uint16
+        assert log.per_workload()["w199"].latencies == [199.0]
+
+    def test_result_views_are_read_only_and_left_out_of_pickles(self):
+        import dataclasses
+        import pickle
+
+        result = make_result([1.0, 2.0], [3.0], [1.0])
+        with pytest.raises(TypeError):
+            result.per_priority[Priority.LOW] = PriorityMetrics()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.per_priority[Priority.LOW].dropped = 10
+        assert result.total_served == 3
+        assert "per_priority" in vars(result)
+        clone = pickle.loads(pickle.dumps(result))
+        assert "per_priority" not in vars(clone)
+        assert clone.per_priority == result.per_priority
+
+    @pytest.mark.parametrize("fields", [
+        {"latencies": [1.0, 2.0], "codes": [0]},
+        {"latencies": [1.0], "codes": [2], "workloads": ("Chat",),
+         "dropped_by_workload": (0,)},
+        {"latencies": [], "codes": [], "workloads": ("Chat", "Chat"),
+         "dropped_by_workload": (0, 0)},
+        {"latencies": [], "codes": [], "dropped_by_priority": (1, 0)},
+        {"latencies": [], "codes": [], "workloads": ("Chat",),
+         "dropped_by_priority": (-1, 1), "dropped_by_workload": (0,)},
+    ], ids=["lengths", "code_range", "repeated_workload", "drop_totals",
+            "negative_drops"])
+    def test_inconsistent_log_rejected(self, fields):
+        with pytest.raises(ConfigurationError):
+            ServeLog(**fields)

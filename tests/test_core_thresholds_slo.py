@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.timeseries import TimeSeries
-from repro.cluster.metrics import PriorityMetrics, SimulationResult
+from repro.cluster.metrics import ServeLogBuilder, SimulationResult
 from repro.core.slo import evaluate_slos
 from repro.core.thresholds import select_thresholds
 from repro.errors import ConfigurationError
@@ -45,13 +45,13 @@ class TestSelectThresholds:
 
 
 def make_result(low_lat, high_lat, brakes=0):
+    log = ServeLogBuilder()
+    for latency in low_lat:
+        log.serve(Priority.LOW, "Summarize", latency)
+    for latency in high_lat:
+        log.serve(Priority.HIGH, "Search", latency)
     return SimulationResult(
-        per_priority={
-            Priority.LOW: PriorityMetrics(latencies=list(low_lat),
-                                          served=len(low_lat)),
-            Priority.HIGH: PriorityMetrics(latencies=list(high_lat),
-                                           served=len(high_lat)),
-        },
+        serve_log=log.build(),
         power_series=utilization_series([100.0] * 10),
         provisioned_power_w=1000.0,
         power_brake_events=brakes,

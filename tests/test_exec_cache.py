@@ -4,16 +4,17 @@ import base64
 import json
 import math
 import os
+import pickle
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.analysis.timeseries import TimeSeries
-from repro.cluster.metrics import PriorityMetrics, SimulationResult
+from repro.cluster.metrics import ServeLogBuilder, SimulationResult
 from repro.cluster.simulator import ClusterConfig
 from repro.core.policy import POLCA_DEFAULTS, PolcaThresholds
 from repro.core.sweeps import (
@@ -252,27 +253,104 @@ EDGE_FLOATS = st.sampled_from([
     2.2250738585072014e-308, 1.1125369292536007e-308, 1.7976931348623157e308,
     0.1, 1 / 3,
 ])
-FLOAT_LISTS = st.lists(st.one_of(st.floats(), EDGE_FLOATS), max_size=40)
+FLOATS = st.one_of(st.floats(), EDGE_FLOATS)
+FLOAT_LISTS = st.lists(FLOATS, max_size=40)
+PRIORITY = st.sampled_from(list(Priority))
 
 
-def _synthetic_result(low, high, workload, power) -> SimulationResult:
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@st.composite
+def serve_events(draw, distinct=False):
+    """A run's serves ``(priority, workload, latency)`` and drops
+    ``(priority, workload)`` in serve order. "Idle" only ever drops."""
+    latencies = draw(
+        st.lists(FLOATS, max_size=30, unique_by=_bits) if distinct
+        else st.lists(FLOATS, max_size=30)
+    )
+    serves = [
+        (draw(PRIORITY), draw(st.sampled_from(["Summarize", "Search",
+                                                "Chat"])), latency)
+        for latency in latencies
+    ]
+    drops = draw(st.lists(
+        st.tuples(PRIORITY, st.sampled_from(["Chat", "Idle"])), max_size=4
+    ))
+    return draw(st.permutations(serves + drops))
+
+
+def _serve_log(events):
+    log = ServeLogBuilder()
+    for event in events:
+        if len(event) == 3:
+            log.serve(*event)
+        else:
+            log.drop(*event)
+    return log.build()
+
+
+def _synthetic_result(events, power) -> SimulationResult:
     return SimulationResult(
-        per_priority={
-            Priority.LOW: PriorityMetrics(latencies=low, served=len(low),
-                                          dropped=1),
-            Priority.HIGH: PriorityMetrics(latencies=high, served=len(high)),
-        },
+        serve_log=_serve_log(events),
         power_series=TimeSeries(start=0.0, interval=2.0, values=power),
         provisioned_power_w=1000.0,
         power_brake_events=0,
         capping_actions=3,
         duration_s=60.0,
-        per_workload={
-            "Chat": PriorityMetrics(latencies=workload,
-                                    served=len(workload)),
-        },
         total_energy_j=1.5,
     )
+
+
+def _expected_tiers(events, key):
+    """Per-tier ``[latencies, dropped]`` keyed by an event's priority
+    (``key=0``) or workload (``key=1``), in first-touch order."""
+    tiers = {}
+    for event in events:
+        tier = tiers.setdefault(event[key], [[], 0])
+        if len(event) == 3:
+            tier[0].append(event[2])
+        else:
+            tier[1] += 1
+    return tiers
+
+
+def assert_views_match(result, events):
+    """Both views hold exactly the events' per-tier latencies, bit for
+    bit and in serve order, and their drop counts."""
+    by_priority = _expected_tiers(events, 0)
+    by_workload = _expected_tiers(events, 1)
+    assert list(result.per_priority) == list(Priority)
+    assert list(result.per_workload) == list(by_workload)
+    views = [(result.per_priority[p], by_priority.get(p, [[], 0]))
+             for p in Priority]
+    views += [(result.per_workload[name], tier)
+              for name, tier in by_workload.items()]
+    for view, (latencies, dropped) in views:
+        assert all(type(v) is float for v in view.latencies)
+        assert _f64(view.latencies) == _f64(latencies)
+        assert view.served == len(latencies)
+        assert view.dropped == dropped
+
+
+def _list_form_entry(result):
+    """``result`` as a schema-6 disk entry: per-tier packed lists."""
+    entry = result_to_dict(result)
+    entry["schema"] = 6
+    for group in ("per_priority", "per_workload"):
+        for metrics in entry[group].values():
+            raw = _f64(metrics["latencies"])
+            metrics["latencies"] = {"f64": base64.b64encode(raw).decode()}
+    return entry
+
+
+def _repack(tier, change):
+    """Apply ``change`` to a packed list-form tier's latency array."""
+    latencies = np.frombuffer(base64.b64decode(tier["latencies"]["f64"]))
+    tier["latencies"] = {
+        "f64": base64.b64encode(_f64(change(latencies))).decode()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -286,39 +364,87 @@ class TestDiskCodec:
     """Result entries on disk: packed float64 arrays, exact and robust."""
 
     @settings(max_examples=60, deadline=None)
-    @given(low=FLOAT_LISTS, high=FLOAT_LISTS, workload=FLOAT_LISTS,
-           power=FLOAT_LISTS)
-    @example(low=[], high=[], workload=[], power=[])
-    @example(low=[-0.0], high=[NAN_PAYLOAD], workload=[5e-324],
+    @given(events=serve_events(), power=FLOAT_LISTS)
+    @example(events=[], power=[])
+    @example(events=[(Priority.LOW, "Chat", -0.0),
+                     (Priority.HIGH, "Chat", NAN_PAYLOAD),
+                     (Priority.LOW, "Idle"),
+                     (Priority.HIGH, "Search", 5e-324)],
              power=[math.inf])
-    def test_round_trip_is_bit_identical(self, low, high, workload, power):
-        original = _synthetic_result(low, high, workload, power)
+    def test_round_trip_is_bit_identical(self, events, power):
+        original = _synthetic_result(events, power)
+        assert_views_match(original, events)
         with tempfile.TemporaryDirectory() as cache_dir:
             RunCache(cache_dir).put("entry", original)
             fresh = RunCache(cache_dir)
             decoded = fresh.get("entry")
         assert fresh.disk_hits == 1
-        for priority, metrics in original.per_priority.items():
-            latencies = decoded.per_priority[priority].latencies
-            assert all(type(v) is float for v in latencies)
-            assert _f64(latencies) == _f64(metrics.latencies)
-            assert decoded.per_priority[priority].served == metrics.served
-            assert decoded.per_priority[priority].dropped == metrics.dropped
-        assert _f64(decoded.per_workload["Chat"].latencies) == _f64(workload)
+        assert_views_match(decoded, events)
         values = decoded.power_series.values
         assert values.dtype == np.float64 and values.flags.writeable
         assert values.tobytes() == _f64(power)
+        assert_views_match(pickle.loads(pickle.dumps(original)), events)
+
+    @settings(max_examples=60, deadline=None)
+    @given(events=serve_events(distinct=True))
+    @example(events=[(Priority.HIGH, "Chat", NAN_PAYLOAD),
+                     (Priority.LOW, "Chat", math.nan),
+                     (Priority.LOW, "Search", 0.0),
+                     (Priority.HIGH, "Summarize", -0.0),
+                     (Priority.HIGH, "Idle")])
+    def test_list_form_round_trip_rebuilds_the_serve_order(self, events):
+        original = _synthetic_result(events, [])
+        decoded = result_from_dict(result_to_dict(original))
+        assert_views_match(decoded, events)
+
+    @settings(max_examples=30, deadline=None)
+    @given(events=serve_events(distinct=True), corrupt=st.sampled_from([
+        None, "foreign_workload_float", "served_not_list_length",
+        "unequal_totals",
+    ]))
+    def test_list_form_that_cannot_interleave_is_a_miss(
+        self, events, corrupt
+    ):
+        entry = _list_form_entry(_synthetic_result(events, []))
+        serving = [t for t in entry["per_workload"].values() if t["served"]]
+        assume(serving or corrupt in (None, "served_not_list_length"))
+        present = {_bits(event[2]) for event in events if len(event) == 3}
+        foreign = next(float(v) for v in range(len(present) + 1)
+                       if _bits(float(v)) not in present)
+        if corrupt == "foreign_workload_float":
+            _repack(serving[0], lambda lat: np.append(lat[:-1], foreign))
+        elif corrupt == "served_not_list_length":
+            entry["per_priority"][Priority.LOW.value]["served"] += 1
+        elif corrupt == "unequal_totals":
+            serving[0]["served"] += 1
+            _repack(serving[0], lambda lat: np.append(lat, foreign))
+        with tempfile.TemporaryDirectory() as cache_dir:
+            Path(cache_dir, "entry.json").write_text(json.dumps(entry))
+            cache = RunCache(cache_dir)
+            decoded = cache.get("entry")
+        if corrupt is None:
+            assert cache.disk_hits == 1
+            assert_views_match(decoded, events)
+        else:
+            assert decoded is None
+            assert cache.misses == 1
 
     def test_entry_packs_the_float_arrays(self, tmp_path, stored_entry):
         digest, result = stored_entry
         RunCache(tmp_path).put(digest, result)
         entry = json.loads((tmp_path / f"{digest}.json").read_bytes())
-        packed = [m["latencies"] for m in entry["per_priority"].values()]
-        packed += [m["latencies"] for m in entry["per_workload"].values()]
-        packed.append(entry["power_series"]["values"])
-        assert all(set(field) == {"f64"} for field in packed)
+        assert "per_priority" not in entry and "per_workload" not in entry
+        log = entry["serve_log"]
+        assert set(log["latencies"]) == {"f64"}
+        assert set(log["codes"]) == {"u8"}
+        packed = entry["power_series"]["values"]
+        assert set(packed) == {"f64"}
         values = result.power_series.values
-        assert base64.b64decode(packed[-1]["f64"]) == values.astype("<f8").tobytes()
+        assert base64.b64decode(packed["f64"]) == values.astype("<f8").tobytes()
+        assert base64.b64decode(log["latencies"]["f64"]) == \
+            result.serve_log.latencies.astype("<f8").tobytes()
+        assert base64.b64decode(log["codes"]["u8"]) == \
+            result.serve_log.codes.tobytes()
 
     def test_list_form_entry_still_loads(self, tmp_path, stored_entry):
         digest, result = stored_entry
@@ -338,6 +464,8 @@ class TestDiskCodec:
         "array_field_missing_key",
         "metric_groups_a_list",
         "truncated_mid_payload",
+        "code_out_of_range",
+        "drop_totals_disagree",
     ])
     def test_corrupt_entry_is_a_miss(self, tmp_path, stored_entry, corrupt):
         digest, result = stored_entry
@@ -345,7 +473,8 @@ class TestDiskCodec:
         path = tmp_path / f"{digest}.json"
         raw = path.read_bytes()
         entry = json.loads(raw)
-        packed = entry["per_priority"][Priority.LOW.value]["latencies"]
+        log = entry["serve_log"]
+        packed = log["latencies"]
         if corrupt == "non_base64_character":
             packed["f64"] = "!" + packed["f64"][1:]
         elif corrupt == "payload_not_multiple_of_8":
@@ -353,11 +482,17 @@ class TestDiskCodec:
         elif corrupt == "packed_payload_not_a_string":
             packed["f64"] = 12
         elif corrupt == "array_field_a_string":
-            entry["per_priority"][Priority.LOW.value]["latencies"] = "123"
+            log["latencies"] = "123"
         elif corrupt == "array_field_missing_key":
             entry["power_series"]["values"] = {"f32": ""}
         elif corrupt == "metric_groups_a_list":
-            entry["per_workload"] = []
+            entry["serve_log"] = []
+        elif corrupt == "code_out_of_range":
+            codes = bytearray(base64.b64decode(log["codes"]["u8"]))
+            codes[0] = 255
+            log["codes"]["u8"] = base64.b64encode(codes).decode()
+        elif corrupt == "drop_totals_disagree":
+            log["dropped_by_priority"][0] += 1
         if corrupt == "truncated_mid_payload":
             path.write_bytes(raw[:raw.index(b'"f64"') + 100])
         else:
@@ -456,12 +591,12 @@ class TestCodec:
         assert decoded.duration_s == encoded["duration_s"]
         assert decoded.observability is None
 
-    def test_current_schema_is_v6(self):
+    def test_current_schema_is_v7(self):
         from repro.exec.codec import SCHEMA_VERSION
 
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
         encoded = result_to_dict(execute_spec(small_spec()))
-        assert encoded["schema"] == 6
+        assert encoded["schema"] == 7
         # An unprotected run serializes an explicitly empty section.
         assert encoded["powerfail"] is None
 

@@ -8,6 +8,7 @@ breaker trips.
 """
 
 import copy
+import pickle
 import pickletools
 from dataclasses import replace
 
@@ -139,6 +140,14 @@ class TestFamilyDigest:
         assert family_digest(a) != family_digest(b)
         assert family_digest(a) != family_digest(c)
 
+    def test_schema_is_part_of_the_family(self, monkeypatch):
+        from repro.exec import incremental
+
+        spec = reference_spec("polca-default", PolicySpec("POLCA"))
+        current = family_digest(spec)
+        monkeypatch.setattr(incremental, "INCREMENTAL_SCHEMA", 5)
+        assert family_digest(spec) != current
+
     def test_epoch_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             IncrementalExecutor(RunCache(), checkpoint_epoch_s=0.0)
@@ -192,6 +201,23 @@ class TestIncrementalParity:
         )
         assert again is base
         assert executor.stats.reused_results == 1
+
+    def test_tape_of_an_older_schema_runs_the_family_cold(self):
+        # A schema-5 tape names checkpoints that pickled the core's
+        # per-tier metric dicts; its family must not resume from them.
+        base_spec = reference_spec("polca-default", PolicySpec("No-cap"))
+        variant_spec = reference_spec("polca-default", PolicySpec("POLCA"))
+        executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
+        executor.execute(base_spec)
+        tape = f"{family_digest(variant_spec)}-tape"
+        meta = pickle.loads(executor.cache.get_blob(tape))
+        assert meta["schema"] == 6
+        executor.cache.put_blob(tape, pickle.dumps({**meta, "schema": 5}))
+        variant = executor.execute(variant_spec)
+        assert executor.stats.resumed_runs == 0
+        assert executor.stats.base_runs == 2
+        assert pickle.loads(executor.cache.get_blob(tape))["schema"] == 6
+        assert_results_bit_identical(variant, execute_spec(variant_spec))
 
     def test_evicted_checkpoints_degrade_to_cold_run(self):
         base_spec = reference_spec("polca-default", PolicySpec("No-cap"))
