@@ -23,6 +23,13 @@ dispatches through the module-level :data:`EVENT_HANDLERS` table.
 Per-event-kind kernel timing (:class:`KernelTimers`) is opt-in and
 surfaces in ``result.observability["sim_core"]`` so hot-path regressions
 show up in traces.
+
+The horizon rule: a telemetry reading that becomes available after
+``duration_s`` never reaches the policy, so no control step runs after
+the horizon. Everything already under way finishes: commands issued
+before the horizon still land (and are verified and re-issued), and
+in-flight requests drain, their latencies counted. Energy and breaker
+exposure integrate over ``[0, duration_s]`` only.
 """
 
 from __future__ import annotations
@@ -1047,8 +1054,10 @@ class SimulationCore:
                 value = self.injector.perturb_sample(reading)
             if available_at <= now:
                 self._deliver_observation(now, value)
-            else:
+            elif available_at <= self.duration_s:
                 self.queue.push(available_at, ("obs", value))
+            # else: it would arrive after the horizon; the policy never
+            # sees it (see the module docstring).
         # --- Graceful degradation on persistent staleness.
         if self.stale_ticks > self.report.max_missed_ticks:
             self.report.max_missed_ticks = self.stale_ticks

@@ -40,8 +40,8 @@ class ControlAction:
         targets: Identifiers of the servers the action applies to.
         value: SM clock in MHz for frequency locks, watts for power caps;
             must be ``None`` for the unlock/uncap/brake operations.
-        reason: Free-text explanation recorded in the actuation history
-            (e.g. ``"T1 crossed"``), useful for the policy audit trail.
+        reason: Free-text explanation (e.g. ``"T1 crossed"``), useful
+            for the policy audit trail.
     """
 
     kind: ActionKind
@@ -75,22 +75,3 @@ class ControlAction:
     ) -> "ControlAction":
         """Release frequency locks on the targeted servers."""
         return cls(ActionKind.FREQUENCY_UNLOCK, targets, None, reason)
-
-    @classmethod
-    def power_cap(
-        cls, targets: FrozenSet[str], cap_w: float, reason: str = ""
-    ) -> "ControlAction":
-        """Power-cap each GPU on the targeted servers."""
-        return cls(ActionKind.POWER_CAP, targets, cap_w, reason)
-
-    @classmethod
-    def power_brake(cls, targets: FrozenSet[str], reason: str = "") -> "ControlAction":
-        """Engage the power brake on the targeted servers."""
-        return cls(ActionKind.POWER_BRAKE, targets, None, reason)
-
-    @classmethod
-    def brake_release(
-        cls, targets: FrozenSet[str], reason: str = ""
-    ) -> "ControlAction":
-        """Release the power brake on the targeted servers."""
-        return cls(ActionKind.BRAKE_RELEASE, targets, None, reason)

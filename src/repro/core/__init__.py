@@ -19,7 +19,6 @@ from repro.core.baselines import (
     all_policies,
 )
 from repro.core.thresholds import ThresholdRecommendation, select_thresholds
-from repro.core.controller import PolcaController
 from repro.core.splitting import (
     SplitDeployment,
     plan_split_deployment,
@@ -53,7 +52,6 @@ __all__ = [
     "NoCapPolicy",
     "POLCA_DEFAULTS",
     "PhaseAwareOutcome",
-    "PolcaController",
     "PolcaThresholds",
     "PolicyComparison",
     "SingleThresholdAllPolicy",

@@ -67,8 +67,9 @@ from repro.obs.recorder import TraceRecorder
 #: the tape holds no event stream (recorded runs execute cold).
 #: Schema 6: checkpoints hold the core's serve log
 #: (:class:`~repro.cluster.metrics.ServeLogBuilder`) in place of its
-#: per-priority and per-workload metric dicts.
-INCREMENTAL_SCHEMA = 6
+#: per-priority and per-workload metric dicts. Schema 7: the pickled
+#: actuator keeps no command history or in-flight list.
+INCREMENTAL_SCHEMA = 7
 
 
 def family_digest(spec: RunSpec) -> str:

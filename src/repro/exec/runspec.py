@@ -39,8 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: (breaker topology, trip curves, emergency shedding), which changes
 #: the canonical config payload for every spec. Version 4: specs grew
 #: the ``trace`` replay source, and the float-grid/smoothing-edge bug
-#: sweep changed the synthetic trace pipeline's output.
-DIGEST_VERSION = 4
+#: sweep changed the synthetic trace pipeline's output. Version 5: a
+#: telemetry reading that would arrive after ``duration_s`` no longer
+#: reaches the policy, which changes results of delayed-telemetry specs.
+DIGEST_VERSION = 5
 
 #: Policy factory names the engine can build (``all_policies()`` keys).
 POLICY_NAMES = (

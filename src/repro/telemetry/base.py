@@ -6,48 +6,26 @@ measurement path (in-band or out-of-band), and a noise/staleness profile.
 :class:`SampledInterface` captures that shape once; the concrete interfaces
 (DCGM, IPMI, SMBPBI, row manager) configure it.
 
-:meth:`SampledInterface.read` samples a signal (a function of time);
-:meth:`SampledInterface.observe` takes the value itself, which is how
-the cluster simulator reads its running row power on every telemetry
-tick. Both draw the measurement noise in one place, so the two give the
-same readings from the same noise stream.
+:meth:`SampledInterface.observe` measures one value: it is how the
+cluster simulator reads its running row power on every telemetry tick.
+The DCGM-rate traces of Figures 4 and 6 come from the training and
+inference models' own sampling loops (:mod:`repro.training.iteration`,
+:mod:`repro.characterization.inference`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.analysis.timeseries import TimeSeries, sample_times
-from repro.errors import ConfigurationError, TelemetryError
-
-#: A function of time returning the instantaneous value being monitored.
-Signal = Callable[[float], float]
-
-
-class TelemetrySample(NamedTuple):
-    """One reading from a monitoring interface.
-
-    A named tuple rather than a dataclass: a tuple is far cheaper to
-    build, and series sampling takes one per reading.
-
-    Attributes:
-        time: When the reading became *available* to the consumer, which is
-            the sample time plus the interface's reporting delay.
-        value: The measured value (watts for power interfaces).
-        sampled_at: When the underlying signal was actually observed.
-    """
-
-    time: float
-    value: float
-    sampled_at: float
+from repro.errors import ConfigurationError
 
 
 @dataclass
 class SampledInterface:
-    """A periodic sampler over a continuous signal.
+    """A periodic, noisy, possibly delayed measurement of one signal.
 
     Attributes:
         name: Interface name (for diagnostics).
@@ -74,15 +52,6 @@ class SampledInterface:
             raise ConfigurationError(f"{self.name}: delay cannot be negative")
         self._rng = np.random.default_rng(self.seed)
 
-    def read(self, now: float, signal: Signal) -> TelemetrySample:
-        """Take one reading of ``signal`` at time ``now``.
-
-        The returned sample carries the noisy value and its availability
-        time (``now + delay``).
-        """
-        available_at, value = self.observe(now, float(signal(now)))
-        return TelemetrySample(available_at, value, now)
-
     def observe(self, now: float, value: float) -> Tuple[float, float]:
         """Measure ``value``, the signal's level at ``now``.
 
@@ -93,17 +62,3 @@ class SampledInterface:
         if self.noise_std > 0:
             value = value * (1.0 + self.noise_std * self._rng.standard_normal())
         return now + self.delay, value
-
-    def sample_series(
-        self, signal: Signal, start: float, end: float
-    ) -> TimeSeries:
-        """Sample ``signal`` over ``[start, end)`` at this interface's rate.
-
-        Raises:
-            TelemetryError: If the window is empty.
-        """
-        if end <= start:
-            raise TelemetryError(f"{self.name}: empty sampling window")
-        times = sample_times(start, end, self.interval)
-        values = np.array([self.read(float(t), signal).value for t in times])
-        return TimeSeries(start=start, interval=self.interval, values=values)

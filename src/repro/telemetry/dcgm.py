@@ -4,18 +4,15 @@ DCGM "provides additional support to monitor GPU performance counters like
 Streaming Multiprocessor (SM) activity, memory activity, and PCIe TX/RX
 usage" (Section 3.1). The paper runs it at a 100 ms interval and notes a
 5-10 W server-power overhead from the repeated counter queries
-(Section 3.4, "Minimizing overheads"); the simulated monitor reproduces
-both the interval and the overhead so experiments can account for it.
+(Section 3.4, "Minimizing overheads"); the simulated monitor records both
+the interval and the overhead so experiments can account for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from repro.errors import ConfigurationError
-from repro.telemetry.base import SampledInterface, Signal
-from repro.analysis.timeseries import TimeSeries
+from repro.telemetry.base import SampledInterface
 
 #: The paper's DCGM sampling configuration (Section 3.4).
 DCGM_INTERVAL_S = 0.1
@@ -39,27 +36,3 @@ class DcgmMonitor(SampledInterface):
     delay: float = 0.0
     noise_std: float = 0.005
     overhead_w: float = DCGM_OVERHEAD_W
-
-    def power_series(
-        self, power_signal: Signal, start: float, end: float
-    ) -> TimeSeries:
-        """DCGM power time series over a window (the Figure 4/6 traces)."""
-        return self.sample_series(power_signal, start, end)
-
-    def counter_series(
-        self, counter_signals: Dict[str, Signal], start: float, end: float
-    ) -> Dict[str, TimeSeries]:
-        """Sample several performance counters over one window.
-
-        All counters share the DCGM sampling clock, mirroring how the
-        paper collects the Figure 7 correlation inputs.
-
-        Raises:
-            ConfigurationError: If no counters are supplied.
-        """
-        if not counter_signals:
-            raise ConfigurationError("DCGM asked to sample zero counters")
-        return {
-            name: self.sample_series(signal, start, end)
-            for name, signal in counter_signals.items()
-        }

@@ -2,17 +2,14 @@
 
 IPMI "queries the server baseboard management controller (BMC) to obtain
 power readings" at a 1-5 s interval (Table 1). The paper uses IPMI to
-validate DCGM power measurements (Section 3.4); :meth:`IpmiMonitor.validate`
-implements that cross-check.
+validate DCGM power measurements (Section 3.4).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.timeseries import TimeSeries
-from repro.errors import TelemetryError
-from repro.telemetry.base import SampledInterface, Signal
+from repro.telemetry.base import SampledInterface
 
 #: IPMI sampling interval; Table 1 gives 1-5 s, we default to the middle.
 IPMI_INTERVAL_S = 3.0
@@ -27,36 +24,3 @@ class IpmiMonitor(SampledInterface):
     in_band: bool = False
     delay: float = 0.5
     noise_std: float = 0.01
-
-    def server_power_series(
-        self, server_power_signal: Signal, start: float, end: float
-    ) -> TimeSeries:
-        """Server-level power series over a window."""
-        return self.sample_series(server_power_signal, start, end)
-
-    def validate(
-        self,
-        server_series: TimeSeries,
-        gpu_series: TimeSeries,
-        host_floor_w: float,
-        host_ceiling_w: float,
-    ) -> bool:
-        """Cross-check a GPU-level series against the server-level one.
-
-        The paper validates DCGM against IPMI by checking that the
-        server-minus-GPU residual stays within the plausible host power
-        envelope. Returns ``True`` when every aligned sample does.
-
-        Raises:
-            TelemetryError: If either series is empty.
-        """
-        if len(server_series) == 0 or len(gpu_series) == 0:
-            raise TelemetryError("cannot validate empty series")
-        # Align the finer GPU series onto IPMI timestamps by decimation.
-        ratio = max(1, int(round(self.interval / gpu_series.interval)))
-        coarse_gpu = gpu_series.downsample(ratio)
-        n = min(len(server_series), len(coarse_gpu))
-        residual = server_series.values[:n] - coarse_gpu.values[:n]
-        return bool(
-            (residual >= host_floor_w).all() and (residual <= host_ceiling_w).all()
-        )

@@ -3,17 +3,16 @@
 The row manager "aggregates the power draw across all servers in the row"
 (Section 3.1) and delivers a reading every 2 seconds (Tables 1-2:
 "Power telemetry delay: 2s"). POLCA's power manager consumes exactly this
-signal (Figure 12) — it is the coarsest but the only row-level view.
+signal (Figure 12) — it is the coarsest but the only row-level view. The
+cluster simulator reads its row power at this period
+(``ClusterConfig.telemetry_interval_s``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.analysis.timeseries import TimeSeries
-from repro.errors import TelemetryError
-from repro.telemetry.base import SampledInterface, Signal
+from repro.telemetry.base import SampledInterface
 
 #: Row-level telemetry period (Table 2).
 ROW_TELEMETRY_INTERVAL_S = 2.0
@@ -28,23 +27,3 @@ class RowManager(SampledInterface):
     in_band: bool = False
     delay: float = 0.0
     noise_std: float = 0.0
-
-    def aggregate_signal(self, server_signals: Sequence[Signal]) -> Signal:
-        """Build the row power signal as the sum of server signals.
-
-        Raises:
-            TelemetryError: If the row has no servers.
-        """
-        if not server_signals:
-            raise TelemetryError("row has no servers to aggregate")
-
-        def row_power(t: float) -> float:
-            return float(sum(signal(t) for signal in server_signals))
-
-        return row_power
-
-    def row_power_series(
-        self, server_signals: Sequence[Signal], start: float, end: float
-    ) -> TimeSeries:
-        """Sampled row power over a window (the Figure 16 '2s avg' trace)."""
-        return self.sample_series(self.aggregate_signal(server_signals), start, end)

@@ -4,17 +4,16 @@ NVIDIA's SMBPBI provides OOB power monitoring and control per GPU, but
 "it is quite slow in practice" (Section 3.1): reads take 5 s or more
 (Table 1), control actions take up to 40 s to execute (Table 2), and the
 interface "may sometimes fail without signaling completion or errors"
-(Section 3.3). POLCA has to be designed around exactly these properties,
-so the simulation models all three: read latency, actuation latency, and
-silent failure.
+(Section 3.3). The simulator's command path
+(:class:`~repro.control.actuator.Actuator`) uses this actuation latency,
+and its silent failures come from the run's
+:class:`~repro.faults.plan.FaultPlan`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List
+from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
 from repro.telemetry.base import SampledInterface
 
 #: OOB read interval (Table 1: "5s+").
@@ -23,80 +22,13 @@ SMBPBI_READ_INTERVAL_S = 5.0
 #: OOB control latency (Table 2: "OOB control latency: 40s").
 SMBPBI_ACTUATION_LATENCY_S = 40.0
 
-#: Default probability that an OOB command silently fails (Section 3.3).
-DEFAULT_SILENT_FAILURE_RATE = 0.02
-
-
-@dataclass(frozen=True)
-class OobCommand:
-    """A pending out-of-band control command.
-
-    Attributes:
-        issued_at: When the command was sent.
-        effective_at: When it takes effect (issue time + actuation latency).
-        kind: Command kind, e.g. ``"frequency_cap"`` or ``"power_cap"``.
-        value: Command payload (MHz or watts).
-        target: Opaque identifier of the targeted GPU/server.
-        failed_silently: Whether the command was dropped without error.
-    """
-
-    issued_at: float
-    effective_at: float
-    kind: str
-    value: float
-    target: str
-    failed_silently: bool
-
 
 @dataclass
 class SmbpbiInterface(SampledInterface):
-    """OOB GPU monitoring and control with realistic latency and loss.
-
-    Attributes:
-        actuation_latency: Seconds before a control command takes effect.
-        silent_failure_rate: Probability a command is silently dropped.
-    """
+    """OOB GPU power monitoring at SMBPBI's read interval."""
 
     name: str = "SMBPBI"
     interval: float = SMBPBI_READ_INTERVAL_S
     in_band: bool = False
     delay: float = 1.0
     noise_std: float = 0.01
-    actuation_latency: float = SMBPBI_ACTUATION_LATENCY_S
-    silent_failure_rate: float = DEFAULT_SILENT_FAILURE_RATE
-    _pending: List[OobCommand] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not 0.0 <= self.silent_failure_rate < 1.0:
-            raise ConfigurationError("silent_failure_rate must be in [0, 1)")
-        if self.actuation_latency < 0:
-            raise ConfigurationError("actuation latency cannot be negative")
-
-    def issue(self, now: float, kind: str, value: float, target: str) -> OobCommand:
-        """Issue an OOB control command; it lands after the actuation
-        latency, or never (silent failure). Either way the caller receives
-        no error — exactly the failure mode the paper warns about."""
-        failed = bool(self._rng.random() < self.silent_failure_rate)
-        command = OobCommand(
-            issued_at=now,
-            effective_at=now + self.actuation_latency,
-            kind=kind,
-            value=value,
-            target=target,
-            failed_silently=failed,
-        )
-        if not failed:
-            self._pending.append(command)
-        return command
-
-    def effective_commands(self, now: float) -> List[OobCommand]:
-        """Pop and return the commands that have taken effect by ``now``."""
-        landed = [c for c in self._pending if c.effective_at <= now]
-        self._pending = [c for c in self._pending if c.effective_at > now]
-        return landed
-
-    @property
-    def pending_count(self) -> int:
-        """Number of commands still in flight."""
-        return len(self._pending)

@@ -203,20 +203,20 @@ class TestIncrementalParity:
         assert executor.stats.reused_results == 1
 
     def test_tape_of_an_older_schema_runs_the_family_cold(self):
-        # A schema-5 tape names checkpoints that pickled the core's
-        # per-tier metric dicts; its family must not resume from them.
+        # A schema-6 tape names checkpoints that pickled the actuator's
+        # command history; its family must not resume from them.
         base_spec = reference_spec("polca-default", PolicySpec("No-cap"))
         variant_spec = reference_spec("polca-default", PolicySpec("POLCA"))
         executor = IncrementalExecutor(RunCache(), checkpoint_epoch_s=300.0)
         executor.execute(base_spec)
         tape = f"{family_digest(variant_spec)}-tape"
         meta = pickle.loads(executor.cache.get_blob(tape))
-        assert meta["schema"] == 6
-        executor.cache.put_blob(tape, pickle.dumps({**meta, "schema": 5}))
+        assert meta["schema"] == 7
+        executor.cache.put_blob(tape, pickle.dumps({**meta, "schema": 6}))
         variant = executor.execute(variant_spec)
         assert executor.stats.resumed_runs == 0
         assert executor.stats.base_runs == 2
-        assert pickle.loads(executor.cache.get_blob(tape))["schema"] == 6
+        assert pickle.loads(executor.cache.get_blob(tape))["schema"] == 7
         assert_results_bit_identical(variant, execute_spec(variant_spec))
 
     def test_evicted_checkpoints_degrade_to_cold_run(self):

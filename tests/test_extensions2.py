@@ -1,12 +1,11 @@
 """Second extension wave: phase splitting, workload-aware caps, the
-standalone controller, and the beyond-LLMs vision workload."""
+POLCA control loop on scripted readings, and the beyond-LLMs vision
+workload."""
 
 import pytest
 
 from repro.cluster.policy_base import GroupCaps
-from repro.control.actions import ActionKind
-from repro.control.actuator import InBandActuator
-from repro.core.controller import PolcaController
+from repro.cluster.simulator import ClusterConfig, ClusterSimulator
 from repro.core.policy import DualThresholdPolicy
 from repro.core.splitting import (
     plan_split_deployment,
@@ -20,8 +19,10 @@ from repro.core.workload_aware import (
     workload_aware_plan,
 )
 from repro.errors import ConfigurationError
+from repro.faults.plan import ActuationFaultSpec, FaultPlan
 from repro.models.vision import VisionServingModel
-from repro.workloads.spec import SEARCH, SUMMARIZE
+from repro.obs.recorder import MemoryRecorder
+from repro.workloads.spec import SEARCH, SUMMARIZE, Priority
 
 
 class TestPhaseSplitting:
@@ -102,101 +103,125 @@ class TestWorkloadAware:
         assert comparison["aware_reclaim"] > 0.0
 
 
-class TestPolcaController:
-    def make_controller(self, **kwargs):
-        defaults = dict(
-            policy=DualThresholdPolicy(),
-            provisioned_power_w=200_000.0,
-            low_priority_servers=frozenset({"s0", "s1"}),
-            high_priority_servers=frozenset({"s2", "s3"}),
-            actuator=InBandActuator(),
-            refresh_interval_s=0.0,  # guardrail exercised separately
+class TestPolcaControlLoop:
+    """The POLCA control loop (Figure 12) the simulator runs: scripted
+    2-second row readings in, per-group OOB commands out."""
+
+    PROVISIONED_W = 200_000.0
+
+    def run_loop(self, signal, duration_s, plan=None, **overrides):
+        """Run a 4-server row whose telemetry reads ``signal(t)``.
+
+        Returns the core and its command issues, in issue order.
+        """
+        config = ClusterConfig(
+            n_base_servers=4,
+            provisioned_per_server_w=self.PROVISIONED_W / 4,
+            fault_plan=plan,
+            **overrides,
         )
-        defaults.update(kwargs)
-        return PolcaController(**defaults)
+        recorder = MemoryRecorder(kinds=("cap_issue", "brake_issue"))
+        simulator = ClusterSimulator(
+            config, DualThresholdPolicy(), recorder=recorder
+        )
+        core = simulator.start([], duration_s)
+        while core.queue:
+            now, event = core.queue.pop()
+            if event[0] == "tick":
+                # The row reads the script, not its idle servers.
+                core.row_power = signal(now)
+            core._process(now, event)
+        return core, recorder.events
 
     def test_quiet_signal_issues_nothing(self):
-        controller = self.make_controller()
-        issued = controller.run_over_signal(lambda t: 100_000.0, 0.0, 60.0)
+        core, issued = self.run_loop(lambda t: 100_000.0, 60.0)
         assert issued == []
-        assert controller.commanded_caps == GroupCaps.uncapped()
+        assert core.commanded == GroupCaps.uncapped()
 
     def test_t1_crossing_caps_low_priority(self):
-        controller = self.make_controller()
-        issued = controller.run_over_signal(lambda t: 165_000.0, 0.0, 10.0)
+        core, issued = self.run_loop(lambda t: 165_000.0, 10.0)
         assert len(issued) == 1
-        action = issued[0].action
-        assert action.kind is ActionKind.FREQUENCY_LOCK
-        assert action.value == 1275.0
-        assert action.targets == frozenset({"s0", "s1"})
+        assert issued[0]["kind"] == "cap_issue"
+        assert issued[0]["priority"] == "low"
+        assert issued[0]["clock_mhz"] == 1275.0
+        assert core.commanded == GroupCaps(low_clock_mhz=1275.0)
 
     def test_deduplicates_repeat_commands(self):
-        controller = self.make_controller()
-        issued = controller.run_over_signal(lambda t: 165_000.0, 0.0, 120.0)
-        assert len(issued) == 1  # commanded once despite 60 ticks
+        _, issued = self.run_loop(lambda t: 165_000.0, 120.0)
+        assert len(issued) == 1  # commanded once despite 60 readings
 
     def test_uncap_after_power_recedes(self):
-        controller = self.make_controller()
-
         def signal(t):
             return 165_000.0 if t < 60.0 else 120_000.0  # 0.825 -> 0.60
 
-        issued = controller.run_over_signal(signal, 0.0, 200.0)
-        kinds = [a.action.kind for a in issued]
-        assert kinds == [ActionKind.FREQUENCY_LOCK,
-                         ActionKind.FREQUENCY_UNLOCK]
+        core, issued = self.run_loop(signal, 200.0)
+        assert [(e["priority"], e["clock_mhz"]) for e in issued] == [
+            ("low", 1275.0), ("low", None),
+        ]
+        assert core.commanded == GroupCaps.uncapped()
 
     def test_brake_on_breaker_threat(self):
-        controller = self.make_controller()
-        issued = controller.run_over_signal(lambda t: 205_000.0, 0.0, 10.0)
-        assert any(a.action.kind is ActionKind.POWER_BRAKE for a in issued)
-        assert controller.brake_engaged
-        assert controller.brake_events == 1
+        core, issued = self.run_loop(lambda t: 205_000.0, 10.0)
+        assert [e["want_on"] for e in issued
+                if e["kind"] == "brake_issue"] == [True]
+        assert core.brake_state == "on"
+        assert core.brake_events == 1
 
     def test_brake_releases(self):
-        controller = self.make_controller()
-
+        """The brake holds ``brake_hold_s``, then releases once power
+        has receded."""
         def signal(t):
             return 205_000.0 if t < 20.0 else 150_000.0
 
-        issued = controller.run_over_signal(signal, 0.0, 120.0)
-        kinds = [a.action.kind for a in issued]
-        assert ActionKind.BRAKE_RELEASE in kinds
-        assert not controller.brake_engaged
+        core, issued = self.run_loop(signal, 120.0)
+        brakes = [e for e in issued if e["kind"] == "brake_issue"]
+        assert [e["want_on"] for e in brakes] == [True, False]
+        assert brakes[1]["t"] - brakes[0]["t"] >= core.config.brake_hold_s
+        assert core.brake_state == "off"
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
-            self.make_controller(provisioned_power_w=0.0)
+            ClusterConfig(provisioned_per_server_w=0.0)
         with pytest.raises(ConfigurationError):
-            self.make_controller(low_priority_servers=frozenset())
+            ClusterConfig(oob_latency_s=-1.0)
         with pytest.raises(ConfigurationError):
-            self.make_controller(refresh_interval_s=-1.0)
+            ClusterConfig(brake_hold_s=-1.0)
 
     def test_refresh_guardrail_reissues_caps(self):
         """Section 3.3: OOB commands can be silently dropped, so the
-        controller periodically re-issues the desired state."""
-        controller = self.make_controller(refresh_interval_s=60.0)
-        issued = controller.run_over_signal(lambda t: 165_000.0, 0.0, 200.0)
-        # Initial command plus refreshes at ~60 s intervals.
-        assert len(issued) >= 3
-        assert all(a.action.value == 1275.0 for a in issued)
+        loop verifies each one and re-issues it when it did not land."""
+        plan = FaultPlan(
+            actuation=ActuationFaultSpec(silent_failure_rate=0.7), seed=1
+        )
+        core, issued = self.run_loop(lambda t: 165_000.0, 600.0, plan)
+        assert len(issued) >= 2
+        # Re-issued after each drop, and no more once one has landed.
+        assert [e["silent"] for e in issued] == \
+            [True] * (len(issued) - 1) + [False]
+        assert [e["attempts"] for e in issued] == list(range(len(issued)))
+        assert all(e["clock_mhz"] == 1275.0 for e in issued)
+        assert core.report.reissues == len(issued) - 1
 
     def test_refresh_survives_silent_failure(self):
-        """A dropped cap is repaired by the next refresh cycle."""
-        from repro.control.actuator import OobActuator
-        lossy = OobActuator(silent_failure_rate=0.7, seed=4)
-        controller = self.make_controller(
-            actuator=lossy, refresh_interval_s=60.0
+        """A dropped cap is repaired by a re-issue."""
+        plan = FaultPlan(
+            actuation=ActuationFaultSpec(silent_failure_rate=0.7), seed=1
         )
-        controller.run_over_signal(lambda t: 165_000.0, 0.0, 1200.0)
-        # Despite 70% silent loss, at least one command landed.
-        landed = lossy.effective(10_000.0)
-        assert len(landed) >= 1
+        core, issued = self.run_loop(lambda t: 165_000.0, 1200.0, plan)
+        # Despite 70% silent loss, the cap landed on the low group.
+        assert any(e["silent"] for e in issued)
+        for index in core._index_by_priority[Priority.LOW]:
+            assert core.servers[index].clock_ratio == \
+                pytest.approx(1275.0 / 1410.0)
+        assert core.report.commands_unrecovered == 0
 
     def test_refresh_idle_when_uncapped(self):
-        controller = self.make_controller(refresh_interval_s=60.0)
-        issued = controller.run_over_signal(lambda t: 100_000.0, 0.0, 400.0)
+        plan = FaultPlan(
+            actuation=ActuationFaultSpec(silent_failure_rate=0.7), seed=1
+        )
+        core, issued = self.run_loop(lambda t: 100_000.0, 400.0, plan)
         assert issued == []
+        assert core.report.commands_issued == 0
 
 
 class TestVisionWorkload:

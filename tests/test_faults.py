@@ -295,7 +295,8 @@ class TestDelayedTelemetry:
         # A policy that never acts cannot steer the trajectory, so the
         # delayed run measures exactly the readings of the prompt run;
         # each one must reach the controller ``delay_s`` after its tick,
-        # in order, including the ones still in flight at the horizon.
+        # in order. A reading still in flight at the horizon never
+        # reaches it.
         requests = make_requests(0.5, 300.0)
         prompt, late = _Observer(), _Observer()
         ClusterSimulator(small_config(), prompt).run(requests, 300.0)
@@ -305,7 +306,25 @@ class TestDelayedTelemetry:
         )
         assert len(prompt.seen) == 150
         assert len({u for _, u in prompt.seen}) > 1
-        assert late.seen == [(now + delay_s, u) for now, u in prompt.seen]
+        assert late.seen == [
+            (now + delay_s, u) for now, u in prompt.seen
+            if now + delay_s <= 300.0
+        ]
+
+    def test_no_control_step_after_the_horizon(self):
+        # The last tick of a 300 s run is at 298 s; its reading would
+        # arrive at 305.25 s, after the horizon.
+        requests = make_requests(0.5, 300.0)
+        late = _Observer()
+        plan = FaultPlan(telemetry=TelemetryFaultSpec(delay_s=7.25))
+        result = ClusterSimulator(small_config(fault_plan=plan), late).run(
+            requests, 300.0
+        )
+        assert late.seen[-1][0] == 299.25  # the tick at 292 s
+        assert all(now <= 300.0 for now, _ in late.seen)
+        assert len(late.seen) == 150 - 3  # not those of 294-298 s
+        # Requests still drain past the horizon and are all served.
+        assert result.total_served == len(requests)
 
 
 # ----------------------------------------------------------------------

@@ -70,7 +70,9 @@ def test_docstrings_on_public_api():
 
 
 #: Re-export hubs whose ``__all__`` must list only names someone uses.
-SURFACES = ("repro", "repro.obs", "repro.exec")
+SURFACES = (
+    "repro", "repro.obs", "repro.exec", "repro.control", "repro.telemetry",
+)
 
 
 def _record_uses(tree, found):
