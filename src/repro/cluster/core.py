@@ -13,7 +13,7 @@ are trace indices, the pre-sorted arrival/tick stream is a count of the
 entries left (rebuilt by :func:`known_events`, the builder
 ``__init__`` uses), the policy, recorder and metrics registry stay
 out, and restored servers are rebuilt on the canonical model and GPU
-spec objects, so the process-wide timeline memo keeps hitting.
+spec objects, so they bind the same compiled timeline and its tables.
 
 Per-server state has one home, the :class:`~repro.cluster.server_sim
 .ServerSim` objects; the core adds only the running per-server power
@@ -649,7 +649,7 @@ class SimulationCore:
                 "t": now, "kind": "phase_rescale",
                 "request_id": self.request_ids[id(active.request)],
                 "server": server.server_id, "slot": slot,
-                "phase": active.segments[active.phase_index].phase,
+                "phase": active.phase,
                 "old_ratio": old_ratio, "new_ratio": new_ratio,
                 "new_end": new_end, "cause": cause,
             }

@@ -16,23 +16,27 @@ only on occupancy and the effective clock, so each server keeps those
 values in a small table; a prompt's power depends on its shape and is
 computed each time.
 
-Request timelines come from a process-wide memo keyed by request shape;
-a miss expands through the compiled timeline of the server's model and
-GPU (:func:`~repro.models.inference.compiled_timeline`).
+Each server binds the compiled timeline of its model and GPU
+(:func:`~repro.models.inference.compiled_timeline`) when it is built. A
+request's phases come from that timeline's tables, keyed by token count
+(a prompt row per input length, a decode step per mean context), so
+starting a request builds no segment object and nothing here grows per
+request shape. A slot holds its request's phases as plain floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.gpu.specs import A100_80GB, GpuSpec
 from repro.models.inference import (
+    CompiledTimeline,
     PhaseSegment,
-    clear_compiled_timelines,
     compiled_timeline,
+    duration_at,
 )
 from repro.models.power_profile import PhasePowerProfile
 from repro.models.registry import LlmSpec, get_model
@@ -43,43 +47,22 @@ from repro.workloads.spec import Priority
 #: Concurrency slots per server (continuous batching depth).
 DEFAULT_CONCURRENCY = 4
 
-#: Entry cap on the shared timeline memo cache (below).
-_TIMELINE_CACHE_MAX = 1 << 18
-
-# Request timelines depend only on (model, gpu, input_tokens,
-# output_tokens). Sweeps replay the same request trace under many
-# policies/configurations, so memoizing the segments process-wide makes
-# every run after the first skip even the compiled roofline arithmetic.
-# Keys are object identities with strong references held (so ids cannot
-# be recycled); values are immutable segment tuples shared between runs.
-# A miss goes straight to the compiled timeline of (model, gpu): long
-# traces have a new shape on almost every request.
-_timeline_cache: Dict[Tuple[int, int, int, int], Tuple[PhaseSegment, ...]] = {}
-_timeline_cache_refs: Dict[int, object] = {}
+#: Phase names by slot phase index.
+PHASES = ("prompt", "token")
 
 
 def cached_timeline_segments(
     model: LlmSpec, gpu: GpuSpec, input_tokens: int, output_tokens: int
-) -> Tuple[PhaseSegment, ...]:
-    """Memoized phase segments for a (model, gpu, request-size) triple."""
-    key = (id(model), id(gpu), input_tokens, output_tokens)
-    segments = _timeline_cache.get(key)
-    if segments is None:
-        if len(_timeline_cache) >= _TIMELINE_CACHE_MAX:
-            _timeline_cache.clear()
-            # The strong-ref dict exists only to pin ids used as cache
-            # keys; once those keys are gone it must be dropped too, or
-            # it grows without bound across huge sweeps. The compiled
-            # timelines pin their objects the same way.
-            _timeline_cache_refs.clear()
-            clear_compiled_timelines()
-        segments = compiled_timeline(model, gpu).segments(
-            input_tokens, output_tokens
-        )
-        _timeline_cache[key] = segments
-        _timeline_cache_refs[id(model)] = model
-        _timeline_cache_refs[id(gpu)] = gpu
-    return segments
+) -> Tuple[PhaseSegment, PhaseSegment]:
+    """The phase segments of a batch-1 request on (model, gpu), built
+    from the compiled timeline's tables.
+
+    Keeps nothing beyond the table rows it reads (or fills), so calling
+    it for every shape of a trace warms exactly what the servers use.
+    """
+    return compiled_timeline(model, gpu).table_segments(
+        input_tokens, output_tokens
+    )
 
 
 @dataclass(frozen=True)
@@ -131,18 +114,31 @@ class ActiveRequest:
     Slotted: tens of thousands of these are created per simulated day and
     their attributes are read in the inner event loop.
 
+    The phases are the fields of the request's
+    :class:`~repro.models.inference.PhaseSegment` pair, bit for bit,
+    without the objects: the prompt phase is fully compute-bound, and
+    the token phase's activity depends on the server's occupancy, not on
+    the request.
+
     Attributes:
         request: The sampled request being served.
-        segments: Its phase segments (prompt, token); often a shared
-            tuple from the process-wide timeline memo cache.
-        phase_index: Index of the segment currently running.
+        prompt_s: Full-clock duration of the prompt phase.
+        prompt_activity: GPU activity during the prompt phase.
+        token_s: Full-clock duration of the token phase.
+        token_fraction: Clock sensitivity (compute fraction) of the
+            token phase.
+        phase_index: Index of the phase currently running
+            (:data:`PHASES`).
         phase_end: Absolute time the current phase finishes at the
             server's current effective clock.
         version: Monotonic counter invalidating superseded events.
     """
 
     request: SampledRequest
-    segments: Sequence[PhaseSegment]
+    prompt_s: float
+    prompt_activity: float
+    token_s: float
+    token_fraction: float
     phase_index: int
     phase_end: float
     version: int = 0
@@ -150,7 +146,19 @@ class ActiveRequest:
     @property
     def in_prompt(self) -> bool:
         """Whether the request is currently in its prompt phase."""
-        return self.segments[self.phase_index].phase == "prompt"
+        return self.phase_index == 0
+
+    @property
+    def phase(self) -> str:
+        """Name of the phase currently running."""
+        return PHASES[self.phase_index]
+
+    def phase_shape(self) -> Tuple[float, float]:
+        """Full-clock seconds and compute fraction of the running phase
+        (the inputs of :func:`~repro.models.inference.duration_at`)."""
+        if self.phase_index == 0:
+            return self.prompt_s, 1.0
+        return self.token_s, self.token_fraction
 
 
 @dataclass(slots=True)
@@ -177,6 +185,8 @@ class ServerSim:
     buffered: Optional[SampledRequest] = None
     slots: Dict[int, ActiveRequest] = field(init=False, repr=False)
     _spec: GpuSpec = field(init=False, repr=False)
+    _timeline: CompiledTimeline = field(init=False, repr=False)
+    _token_fraction: float = field(init=False, repr=False)
     _profile: PhasePowerProfile = field(init=False, repr=False)
     _next_slot: int = field(init=False, repr=False)
     _token_activity: List[float] = field(init=False, repr=False)
@@ -188,6 +198,8 @@ class ServerSim:
         if self.concurrency <= 0:
             raise ConfigurationError("concurrency must be positive")
         self._spec = self.power_model.gpu
+        self._timeline = compiled_timeline(self.model, self._spec)
+        self._token_fraction = self.model.calibration.token_clock_sensitivity
         self._profile = PhasePowerProfile(model=self.model)
         self.slots: Dict[int, ActiveRequest] = {}
         self._next_slot = 0
@@ -241,9 +253,8 @@ class ServerSim:
         """Highest activity among slots in their prompt phase, else 0.0."""
         activity = 0.0
         for active in self.slots.values():
-            segment = active.segments[active.phase_index]
-            if segment.phase == "prompt" and segment.activity > activity:
-                activity = segment.activity
+            if active.phase_index == 0 and active.prompt_activity > activity:
+                activity = active.prompt_activity
         return activity
 
     def current_activity(self) -> float:
@@ -294,16 +305,15 @@ class ServerSim:
             raise SimulationError(f"{self.server_id}: server is failed")
         if not self.has_free_slot:
             raise SimulationError(f"{self.server_id}: no free slot")
-        segments = cached_timeline_segments(
-            self.model, self._spec, request.input_tokens, request.output_tokens
+        prompt_s, prompt_activity, token_s = self._timeline.rows(
+            request.input_tokens, request.output_tokens
         )
         slot = self._next_slot
         self._next_slot += 1
         self.slots[slot] = ActiveRequest(
-            request=request,
-            segments=segments,
-            phase_index=0,
-            phase_end=now + segments[0].duration_at(self.effective_ratio),
+            request, prompt_s, prompt_activity, token_s,
+            self._token_fraction, 0,
+            now + duration_at(prompt_s, 1.0, self.effective_ratio),
         )
         return slot
 
@@ -321,11 +331,12 @@ class ServerSim:
                 f"{self.server_id}: slot {slot} not active"
             ) from None
         active.phase_index += 1
-        if active.phase_index >= len(active.segments):
+        if active.phase_index >= len(PHASES):
             del self.slots[slot]
             return None
-        segment = active.segments[active.phase_index]
-        active.phase_end = now + segment.duration_at(self.effective_ratio)
+        active.phase_end = now + duration_at(
+            active.token_s, active.token_fraction, self.effective_ratio
+        )
         active.version += 1
         return active.phase_end
 
@@ -341,7 +352,7 @@ class ServerSim:
         reconstruct and counterfactual a phase: its name and index, the
         effective clock ratio it starts under, its full-clock duration
         and compute fraction (the inputs of
-        :meth:`~repro.models.inference.PhaseSegment.duration_at`), and
+        :func:`~repro.models.inference.duration_at`), and
         the planned end time. Read-only: observing a slot must not
         perturb the simulation.
 
@@ -354,15 +365,15 @@ class ServerSim:
             raise SimulationError(
                 f"{self.server_id}: slot {slot} not active"
             ) from None
-        segment = active.segments[active.phase_index]
+        full_clock_s, compute_fraction = active.phase_shape()
         return {
             "server": self.server_id,
             "slot": slot,
-            "phase": segment.phase,
+            "phase": active.phase,
             "phase_index": active.phase_index,
             "ratio": self.effective_ratio,
-            "full_clock_s": segment.duration_seconds,
-            "compute_fraction": segment.compute_fraction,
+            "full_clock_s": full_clock_s,
+            "compute_fraction": compute_fraction,
             "planned_end": active.phase_end,
         }
 
@@ -434,11 +445,11 @@ class ServerSim:
             return {}
         rescheduled: Dict[int, float] = {}
         for slot, active in self.slots.items():
-            segment = active.segments[active.phase_index]
-            old_duration = segment.duration_at(old_effective)
+            seconds, compute_fraction = active.phase_shape()
+            old_duration = duration_at(seconds, compute_fraction, old_effective)
             remaining = max(0.0, active.phase_end - now)
             fraction_left = remaining / old_duration if old_duration > 0 else 0.0
-            new_duration = segment.duration_at(new_effective)
+            new_duration = duration_at(seconds, compute_fraction, new_effective)
             active.phase_end = now + fraction_left * new_duration
             active.version += 1
             rescheduled[slot] = active.phase_end

@@ -2,8 +2,7 @@
 
 All library-specific failures derive from :class:`ReproError` so callers can
 catch one base class. Subclasses communicate *which subsystem* rejected the
-operation, mirroring the paper's split between device modelling, telemetry,
-control actuation, and cluster simulation.
+operation: configuration, capacity, cluster simulation, or trace data.
 """
 
 from __future__ import annotations
@@ -30,19 +29,6 @@ class PowerCapError(ConfigurationError):
 
 class CapacityError(ReproError):
     """A request exceeded the capacity of a simulated resource."""
-
-
-class ActuationError(ReproError):
-    """An out-of-band control action failed to execute.
-
-    The paper (Section 3.3) notes that OOB GPU management interfaces "are
-    unreliable and may sometimes fail without signaling completion or
-    errors"; this exception models the *detected* failure case.
-    """
-
-
-class TelemetryError(ReproError):
-    """A telemetry interface could not produce a sample."""
 
 
 class SimulationError(ReproError):

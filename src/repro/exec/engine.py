@@ -435,8 +435,9 @@ class SweepEngine:
         """Fan ``pending`` out over a process pool, surviving workers.
 
         Results are collected in submission order, each wait bounded by
-        ``run_timeout_s``. A timeout or a broken pool identifies the
-        first uncollected spec as the offender: the wedged pool is torn
+        ``run_timeout_s``. A timeout or a broken pool (on a ``result()``
+        or already on a ``submit``) identifies the first uncollected
+        spec as the offender: the wedged pool is torn
         down (hung workers are terminated — they never return on their
         own), the offender is retried at the head of a fresh pool up to
         ``retries`` times, then quarantined to in-parent serial
@@ -454,11 +455,17 @@ class SweepEngine:
                 max_workers=min(batch.workers, len(remaining)),
                 mp_context=context,
             )
-            futures = [
-                pool.submit(_pool_entry, spec, self._job(digest))
-                for digest, spec in remaining
-            ]
+            futures = []
             failed = False
+            try:
+                for digest, spec in remaining:
+                    futures.append(
+                        pool.submit(_pool_entry, spec, self._job(digest))
+                    )
+            except BrokenProcessPool:
+                # A worker died before the last submit: collect what
+                # finished, then blame the first spec not collected.
+                failed = True
             collected = 0
             for future in futures:
                 try:

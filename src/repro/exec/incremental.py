@@ -68,8 +68,9 @@ from repro.obs.recorder import TraceRecorder
 #: Schema 6: checkpoints hold the core's serve log
 #: (:class:`~repro.cluster.metrics.ServeLogBuilder`) in place of its
 #: per-priority and per-workload metric dicts. Schema 7: the pickled
-#: actuator keeps no command history or in-flight list.
-INCREMENTAL_SCHEMA = 7
+#: actuator keeps no command history or in-flight list. Schema 8: a
+#: pickled slot holds its phases as floats, not ``PhaseSegment``\ s.
+INCREMENTAL_SCHEMA = 8
 
 
 def family_digest(spec: RunSpec) -> str:

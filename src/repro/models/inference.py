@@ -7,17 +7,25 @@ compute-boundedness) triples — which is the single currency shared by the
 characterization harness (power time series, Figures 6 and 9) and the
 cluster simulator (per-server power and latency under capping).
 
-Both consumers expand through one per-shape path,
-:meth:`CompiledTimeline.segments`. Everything in the expansion that
-depends only on the model, GPU, datatype and tensor-parallel degree —
-delivered FLOP/s and bandwidth, weight and KV-cache bytes, the
-attention coefficient, the activity calibration — is computed once per
-such combination (:func:`compiled_timeline`); a request shape then
-costs a few multiplications. The arithmetic repeats
+Both consumers expand through one :class:`CompiledTimeline` per serving
+setup. Everything in the expansion that depends only on the model, GPU,
+datatype and tensor-parallel degree — delivered FLOP/s and bandwidth,
+weight and KV-cache bytes, the attention coefficient, the activity
+calibration — is computed once per such combination
+(:func:`compiled_timeline`); a request shape then costs a few
+multiplications. The arithmetic repeats
 :meth:`~repro.models.performance.RooflineLatencyModel.request_latency`
 and :class:`~repro.models.power_profile.PhasePowerProfile` operation
 for operation, so the segments are bit-identical to theirs; those
 classes stay the API for other clock ratios.
+
+For batch-1 requests (every request the cluster simulator serves) the
+compiled timeline also keeps tables keyed by token count: the prompt
+phase depends only on the input length, and the token phase is a
+per-step time at the mean context (``input + output // 2``) times the
+output length. :meth:`CompiledTimeline.rows` reads them, so the tables
+grow with the distinct token counts of a trace (a few thousand rows for
+Table 6), not with its requests.
 """
 
 from __future__ import annotations
@@ -91,10 +99,26 @@ class PhaseSegment:
 
     def duration_at(self, clock_ratio: float) -> float:
         """Duration when running at ``clock_ratio`` of the max clock."""
-        if not 0.0 < clock_ratio <= 1.0:
-            raise ConfigurationError(f"clock_ratio {clock_ratio} outside (0, 1]")
-        stretch = (1.0 - self.compute_fraction) + self.compute_fraction / clock_ratio
-        return self.duration_seconds * stretch
+        return duration_at(
+            self.duration_seconds, self.compute_fraction, clock_ratio
+        )
+
+
+def duration_at(
+    seconds: float, compute_fraction: float, clock_ratio: float
+) -> float:
+    """A phase's duration at ``clock_ratio`` of the max clock.
+
+    ``seconds`` is its full-clock duration; ``compute_fraction`` is the
+    share of it that stretches inversely with the clock.
+
+    Raises:
+        ConfigurationError: If the ratio is outside ``(0, 1]``.
+    """
+    if not 0.0 < clock_ratio <= 1.0:
+        raise ConfigurationError(f"clock_ratio {clock_ratio} outside (0, 1]")
+    stretch = (1.0 - compute_fraction) + compute_fraction / clock_ratio
+    return seconds * stretch
 
 
 @dataclass(frozen=True)
@@ -137,6 +161,11 @@ class CompiledTimeline:
     :func:`compiled_timeline`. The constants come from the
     :class:`RooflineLatencyModel`, :class:`PhasePowerProfile` and
     architecture methods themselves, so they carry the same bits.
+
+    It also holds the batch-1 tables behind :meth:`rows`: a prompt row
+    (seconds, clamped activity) per input length and a token step time
+    per mean context. Both are filled on first use and never cleared;
+    their size is bounded by the token-count ranges of a trace.
     """
 
     __slots__ = (
@@ -145,7 +174,7 @@ class CompiledTimeline:
         "_weight_bytes", "_kv_bytes_per_token", "_dense_per_token",
         "_attention_per_token", "_stretch", "_sensitivity",
         "_prompt_min", "_prompt_span", "_saturation_tokens",
-        "_activity_bonus", "_token_activity",
+        "_activity_bonus", "_token_activity", "_prompt_rows", "_steps",
     )
 
     def __init__(
@@ -194,6 +223,8 @@ class CompiledTimeline:
         self._saturation_tokens = calibration.prompt_saturation_tokens
         self._activity_bonus = effective_dtype.peak_activity_bonus
         self._token_activity: Dict[int, float] = {}
+        self._prompt_rows: Dict[int, Tuple[float, float]] = {}
+        self._steps: Dict[int, float] = {}
 
     def segments(
         self, input_tokens: int, output_tokens: int, batch_size: int = 1
@@ -207,14 +238,74 @@ class CompiledTimeline:
         _check_sizes(input_tokens, output_tokens, batch_size)
         if self._flops_error is not None:
             raise ConfigurationError(self._flops_error)
-        # RooflineLatencyModel.request_latency at clock ratio 1.0 (the
-        # division by the ratio is exact), operand for operand.
+        prompt_seconds, prompt_activity = self._prompt_row(
+            input_tokens, batch_size
+        )
+        step = self._token_step(input_tokens + output_tokens // 2, batch_size)
+        return self._phase_segments(
+            prompt_seconds, prompt_activity, step * output_tokens, batch_size
+        )
+
+    def rows(
+        self, input_tokens: int, output_tokens: int
+    ) -> Tuple[float, float, float]:
+        """``(prompt seconds, prompt activity, token seconds)`` of a
+        batch-1 request, from the tables: the same bits as the
+        :meth:`segments` fields.
+
+        Raises:
+            ConfigurationError: As :meth:`segments` does, in the same
+                order.
+        """
+        if input_tokens <= 0 or output_tokens <= 0:
+            _check_sizes(input_tokens, output_tokens, 1)
+        prompt = self._prompt_rows.get(input_tokens)
+        if prompt is None:
+            # No row exists without a peak-FLOPs entry, so this is the
+            # only place that error can surface.
+            if self._flops_error is not None:
+                raise ConfigurationError(self._flops_error)
+            prompt = self._prompt_row(input_tokens, 1)
+            self._prompt_rows[input_tokens] = prompt
+        context = input_tokens + output_tokens // 2
+        step = self._steps.get(context)
+        if step is None:
+            step = self._token_step(context, 1)
+            self._steps[context] = step
+        return prompt[0], prompt[1], step * output_tokens
+
+    def table_segments(
+        self, input_tokens: int, output_tokens: int
+    ) -> Tuple[PhaseSegment, PhaseSegment]:
+        """The segments of a batch-1 request, built from :meth:`rows`."""
+        return self._phase_segments(*self.rows(input_tokens, output_tokens), 1)
+
+    def _prompt_row(
+        self, input_tokens: int, batch_size: int
+    ) -> Tuple[float, float]:
+        """Prompt seconds and clamped activity: the prompt half of
+        ``RooflineLatencyModel.request_latency`` at clock ratio 1.0 (the
+        division by the ratio is exact) and
+        ``PhasePowerProfile.prompt_activity``, operand for operand."""
         prompt_flops = (
             self._dense_per_token * input_tokens * batch_size
             + self._attention_per_token * input_tokens * input_tokens
             * batch_size
         )
-        context = input_tokens + output_tokens // 2
+        tokens = float(input_tokens * batch_size)
+        saturation = 1.0 - math.exp(-tokens / self._saturation_tokens)
+        prompt_activity = self._prompt_min + self._prompt_span * saturation
+        prompt_activity += self._activity_bonus
+        return (
+            prompt_flops / self._prompt_throughput,
+            min(1.0, max(0.0, prompt_activity)),
+        )
+
+    def _token_step(self, context: int, batch_size: int) -> float:
+        """One decode step at ``context`` tokens, stretched as
+        ``token_latency`` stretches it at clock ratio 1.0. The token
+        phase is this times the output length: ``a * b * c`` multiplies
+        left to right, so the split keeps the bits."""
         read_time = (
             self._weight_bytes
             + self._kv_bytes_per_token * context * batch_size
@@ -223,23 +314,21 @@ class CompiledTimeline:
             self._dense_per_token * batch_size
             + self._attention_per_token * context * batch_size
         ) / self._token_throughput
-        token_seconds = (
-            max(read_time, compute_time) * self._stretch * output_tokens
-        )
-        # PhasePowerProfile.prompt_activity, operand for operand.
-        tokens = float(input_tokens * batch_size)
-        saturation = 1.0 - math.exp(-tokens / self._saturation_tokens)
-        prompt_activity = self._prompt_min + self._prompt_span * saturation
-        prompt_activity += self._activity_bonus
+        return max(read_time, compute_time) * self._stretch
+
+    def _phase_segments(
+        self,
+        prompt_seconds: float,
+        prompt_activity: float,
+        token_seconds: float,
+        batch_size: int,
+    ) -> Tuple[PhaseSegment, PhaseSegment]:
         token_activity = self._token_activity.get(batch_size)
         if token_activity is None:
             token_activity = self._profile.token_activity(batch_size)
             self._token_activity[batch_size] = token_activity
         return (
-            PhaseSegment(
-                "prompt", prompt_flops / self._prompt_throughput,
-                min(1.0, max(0.0, prompt_activity)), 1.0,
-            ),
+            PhaseSegment("prompt", prompt_seconds, prompt_activity, 1.0),
             PhaseSegment(
                 "token", token_seconds, token_activity, self._sensitivity
             ),
@@ -270,11 +359,6 @@ def compiled_timeline(
         compiled = CompiledTimeline(spec, gpu, dtype, n_gpus)
         _compiled[key] = compiled
     return compiled
-
-
-def clear_compiled_timelines() -> None:
-    """Drop every compiled timeline (and the objects it pins)."""
-    _compiled.clear()
 
 
 def request_timeline(

@@ -11,8 +11,6 @@ ALL_ERRORS = [
     errors.FrequencyError,
     errors.PowerCapError,
     errors.CapacityError,
-    errors.ActuationError,
-    errors.TelemetryError,
     errors.SimulationError,
     errors.TraceError,
 ]
@@ -34,4 +32,4 @@ def test_frequency_and_power_cap_are_configuration_errors():
 
 def test_catching_base_class_catches_subsystem_errors():
     with pytest.raises(errors.ReproError):
-        raise errors.TelemetryError("sample failed")
+        raise errors.SimulationError("inconsistent state")

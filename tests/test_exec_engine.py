@@ -124,6 +124,35 @@ class TestWorkerFailures:
         assert engine.last_stats.simulated == 5
         assert_results_healthy(results, specs)
 
+    def test_pool_broken_at_submit_is_retried(self, monkeypatch):
+        """A pool that breaks before the last submit blames the first
+        spec not yet collected, exactly as a broken ``result()`` does."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaks_on_second_call(pool, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died before the submit")
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit",
+                            breaks_on_second_call)
+        ledger = ExperimentLedger()
+        engine = SweepEngine(workers=2, ledger=ledger, retries=1)
+        specs = [tiny_spec(seed) for seed in (5, 7, 8)]
+        results = engine.run_specs(specs)
+        assert engine.last_stats.retried == 1
+        assert engine.last_stats.quarantined == 0
+        assert engine.last_stats.simulated == 3
+        assert provenance(ledger, specs[0])["retries"] == 0
+        assert provenance(ledger, specs[1])["retries"] == 1
+        assert len(calls) == 4  # 1 + the failed one, then 2 on the new pool
+        assert_results_healthy(results, specs)
+
 
 class TestConfigValidation:
     def test_nonpositive_timeout_rejected(self):

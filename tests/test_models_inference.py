@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.server_sim import cached_timeline_segments
+from repro.cluster.server_sim import (
+    ServerPowerModel,
+    ServerSim,
+    cached_timeline_segments,
+)
 from repro.errors import ConfigurationError
 from repro.gpu.specs import A100_40GB, A100_80GB, H100_80GB
 from repro.models.architecture import ArchitectureKind, TransformerArchitecture
@@ -23,6 +27,8 @@ from repro.models.registry import (
     PowerCalibration,
     get_model,
 )
+from repro.workloads.requests import SampledRequest
+from repro.workloads.spec import CHAT, Priority
 
 
 def bloom_request(**overrides):
@@ -144,6 +150,24 @@ def reference_segments(spec, gpu, request, n_gpus):
     ]
 
 
+def slot_segments(spec, gpu, inputs, outputs):
+    """A request's phases as a fresh server's slot holds them (the
+    token activity is the server's, at occupancy 1)."""
+    server = ServerSim(
+        "s0", Priority.HIGH, model=spec, power_model=ServerPowerModel(gpu=gpu)
+    )
+    slot = server.start_request(
+        0.0, SampledRequest(0.0, CHAT, Priority.HIGH, inputs, outputs)
+    )
+    active = server.slots[slot]
+    segments = []
+    for activity in (active.prompt_activity, server._token_activity[1]):
+        seconds, fraction = active.phase_shape()
+        segments.append(PhaseSegment(active.phase, seconds, activity, fraction))
+        server.advance_phase(0.0, slot)
+    return segments
+
+
 def outcome(expand):
     """Segments as field tuples, or the ConfigurationError message."""
     try:
@@ -226,13 +250,18 @@ def assert_parity(spec, gpu, dtype, n_gpus, batch, inputs, outputs):
         )
     ) == expected
     if dtype is None and n_gpus is None and batch == 1:
+        # The batch-1 tables, through both of their readers.
         assert outcome(
             lambda: cached_timeline_segments(spec, gpu, inputs, outputs)
+        ) == expected
+        assert outcome(
+            lambda: slot_segments(spec, gpu, inputs, outputs)
         ) == expected
 
 
 class TestCompiledTimelineParity:
-    """The compiled per-shape path is the per-request path, bit for bit."""
+    """The compiled path and its batch-1 tables are the per-request
+    path, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from(sorted(MODEL_ZOO)), GPUS, DTYPES, N_GPUS,
@@ -273,9 +302,18 @@ class TestCompiledTimelineParity:
         assert str(via_request.value) == message
         assert str(via_compiled.value) == message
         if batch == 1:
-            with pytest.raises(ConfigurationError) as via_memo:
-                cached_timeline_segments(spec, A100_80GB, inputs, outputs)
-            assert str(via_memo.value) == message
+            for table_path in (
+                lambda: cached_timeline_segments(
+                    spec, A100_80GB, inputs, outputs
+                ),
+                lambda: compiled_timeline(spec, A100_80GB).rows(
+                    inputs, outputs
+                ),
+                lambda: slot_segments(spec, A100_80GB, inputs, outputs),
+            ):
+                with pytest.raises(ConfigurationError) as via_table:
+                    table_path()
+                assert str(via_table.value) == message
 
     def test_missing_flops_entry_raises_after_size_checks(self):
         spec = get_model("BLOOM-176B")
@@ -284,6 +322,14 @@ class TestCompiledTimelineParity:
             compiled.segments(128, 16)
         with pytest.raises(ConfigurationError, match="input_tokens"):
             compiled.segments(0, 16)
+        # The tables keep no row for a failed expansion: every call
+        # raises again, sizes first.
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="no peak-FLOPs"):
+                compiled.rows(128, 16)
+            with pytest.raises(ConfigurationError, match="output_tokens"):
+                compiled.rows(128, 0)
+        assert not compiled._prompt_rows and not compiled._steps
 
     def test_one_compiled_timeline_per_setup(self):
         spec = get_model("OPT-30B")
